@@ -11,7 +11,8 @@ from .flows import (ClassicalFlow, ArithmeticFlow, PoissonStructure,
                     lax_flow, char_poly_coeffs, isospectrality_defect,
                     euler_lagrange_form, el_defect)
 from .jets import JetPresentation, prolong, jet_of_point, is_solution
-from .euler import (EulerSystem, AdmissibleFiber, classical_euler_flow,
+from .euler import (EulerSystem, AdmissibleFiber, PreconditionError,
+                    NoAdmissibleFiber, InadmissibleFiber, classical_euler_flow,
                     hasse_invariant, build_flow, gauge_adjust,
                     verify_linearization, verify_new1, fiber_frobenius,
                     derive_new2_form, count_points_and_ap, hasse_value)

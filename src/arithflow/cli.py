@@ -16,7 +16,7 @@ import random
 import sys
 import time
 
-from .padic import TruncatedPadic, delta_base, teichmuller
+from .padic import TruncatedPadic, delta_base, teichmuller, _is_prime
 from .poly import MultiPoly, Chart, ZZ, Zp, SphereNF, parse_poly, ParseError
 from .forms import DiffForm, FiberFrame, lie_derivative
 from .flows import (ClassicalFlow, PoissonStructure, poisson_from_symplectic,
@@ -75,7 +75,7 @@ def _apply_option(cfg, key, val):
         primes = sorted({int(v) for v in val.split(",") if v.strip()})
         for p in primes:
             if p == 2 or not _is_prime(p):
-                raise ConfigError("p must be odd primes, got %d" % p)
+                raise ConfigError("p must be an odd prime, got %d" % p)
         cfg.primes = primes
     elif key == "prec":
         cfg.prec = int(val)
@@ -105,17 +105,6 @@ def _apply_option(cfg, key, val):
         cfg.perturb = val.lower() in ("1", "true", "yes")
     else:
         raise ConfigError("unknown key %r" % key)
-
-
-def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def check_rng(master_seed, check_id):
@@ -218,10 +207,7 @@ def _check_lax_classical(cfg, rng):
 def _check_euler(cfg, rng):
     for p in cfg.primes:
         av = cfg.a if cfg.a is not None else _distinct_triple(rng, p)
-        try:
-            sysm = eu.EulerSystem(p, cfg.prec, av)
-        except ValueError as e:
-            return "fail", "p=%d a=%s: %s" % (p, av, e)
+        sysm = eu.EulerSystem(p, cfg.prec, av)
         flow = eu.build_flow(sysm)
         flow = eu.gauge_adjust(flow, sysm)
         if cfg.perturb:
@@ -353,6 +339,8 @@ def run(cfg):
         t0 = time.time()
         try:
             status, witness = CHECK_FUNCS[cid](cfg, rng)
+        except eu.PreconditionError:
+            raise  # bad input, not a failure of the check
         except Exception as e:  # internal failure, reported as such
             raise RuntimeError("internal error in check %r: %s" % (cid, e)) from e
         rec = {"check": cid, "params": {"p": cfg.primes, "prec": cfg.prec},
@@ -391,6 +379,19 @@ def _build_config(args):
     if getattr(args, "perturb", False):
         cfg.perturb = True
     return cfg
+
+
+def _curve_args(args):
+    """(p, a, c) of the hasse and ap subcommands, checked like config
+    options; c is None where the subcommand has no --c."""
+    cfg = RunConfig()
+    for key in ("p", "a", "c"):
+        val = getattr(args, key, None)
+        if val is not None:
+            _apply_option(cfg, key, val)
+    if len(cfg.primes) != 1:
+        raise ConfigError("p needs one prime")
+    return cfg.primes[0], cfg.a, cfg.c
 
 
 def _add_common(sp):
@@ -468,18 +469,11 @@ def _dispatch(args):
         cfg.checks = ["euler"]
         return _emit(run(cfg), cfg)
     if args.command == "hasse":
-        p = int(args.p)
-        if p == 2 or not _is_prime(p):
-            raise ConfigError("p must be an odd prime")
-        a = [int(v) for v in args.a.split(",")]
-        if len(a) != 3:
-            raise ConfigError("a needs three entries")
+        p, a, _ = _curve_args(args)
         print(eu.hasse_invariant(p, a))
         return 0
     if args.command == "ap":
-        p = int(args.p)
-        a = [int(v) for v in args.a.split(",")]
-        c = [int(v) for v in args.c.split(",")]
+        p, a, c = _curve_args(args)
         count, ap = eu.count_points_and_ap(p, a, c)
         hv = eu.hasse_value(p, a, c)
         out = {"p": p, "a": a, "c": c, "count": count, "a_p": ap,

@@ -77,10 +77,26 @@ def _one_of(a):
     return c * 0 + 1
 
 
+class PreconditionError(ValueError):
+    """The inputs break a precondition of the construction or the checks."""
+
+
+class NoAdmissibleFiber(PreconditionError):
+    """No point of F_p^2 is an admissible fiber of the requested kind."""
+
+
+class InadmissibleFiber(PreconditionError, ChartError):
+    """N(c) A_{p-1}(c) is not a unit at the requested fiber."""
+
+
 class EulerSystem:
     """Parameters and derived data of the arithmetic Euler construction."""
 
     def __init__(self, p, prec, a):
+        if prec < 2:
+            raise PreconditionError(
+                "prec must be >= 2: the fiber and sphere congruences divide "
+                "the Frobenius pullback by p, got prec=%d" % prec)
         self.p = p
         self.prec = prec
         self.ring = Zp(p, prec)
@@ -88,7 +104,8 @@ class EulerSystem:
         for i in range(3):
             for j in range(i + 1, 3):
                 if not (self.a[i] - self.a[j]).is_unit():
-                    raise ValueError("a_i - a_j must be units")
+                    raise PreconditionError("a_i - a_j must be units")
+        self._admissible = {}
         one = self.ring.from_int(1)
         self.H1, self.H2 = euler_h_polys(self.a, one)
         self.N_z = norm_poly(self.a, one)
@@ -135,18 +152,51 @@ class AdmissibleFiber:
         nv = sys.N_z.eval({"z1": self.c1, "z2": self.c2})
         av = sys.A_z.eval({"z1": self.c1, "z2": self.c2})
         if not (nv.is_unit() and av.is_unit()):
-            raise ChartError("inadmissible fiber: N(c) A(c) not a unit")
+            raise InadmissibleFiber("inadmissible fiber: N(c) A(c) not a unit")
+
+
+def admissible_fibers(sys, need_c2_unit=False):
+    """The residues (r1, r2) in F_p^2 of the admissible fibers, cached on the
+    system.  N(c) A_{p-1}(c) is a unit iff it is one mod p, and a Teichmuller
+    lift is r mod p, so the test runs in F_p."""
+    if need_c2_unit not in sys._admissible:
+        p = sys.p
+        found = []
+        for r1 in range(p):
+            for r2 in range(1 if need_c2_unit else 0, p):
+                c = {"z1": TruncatedPadic(p, 1, r1), "z2": TruncatedPadic(p, 1, r2)}
+                if sys.N_z.eval(c).is_unit() and sys.A_z.eval(c).is_unit():
+                    found.append((r1, r2))
+        sys._admissible[need_c2_unit] = found
+    return sys._admissible[need_c2_unit]
+
+
+# rejection draws before the sampler picks from the enumerated list; with one
+# admissible fiber in p^2 candidates the cap is reached with odds e^-32
+_DRAWS_PER_CANDIDATE = 32
 
 
 def sample_admissible_fiber(sys, rng, need_c2_unit=False):
+    """A uniformly random admissible fiber, with c2 a unit if asked.
+
+    Draws (r1, r2) until one is admissible, so a seeded rng gives the same
+    fibers as plain rejection sampling, but after a bounded number of draws
+    it picks from the enumerated list.  Raises NoAdmissibleFiber if there is
+    none: at p = 3 the three distinct a_i exhaust F_3, so N(c) vanishes at
+    every c with c2 a unit."""
     p = sys.p
-    while True:
+    fibers = admissible_fibers(sys, need_c2_unit)
+    if not fibers:
+        raise NoAdmissibleFiber(
+            "no admissible fiber with %s at p=%d"
+            % ("c2 a unit" if need_c2_unit else "N(c) A(c) a unit", p))
+    allowed = set(fibers)
+    for _ in range(_DRAWS_PER_CANDIDATE * p * p):
         r1 = rng.randrange(p)
         r2 = rng.randrange(1, p) if need_c2_unit else rng.randrange(p)
-        try:
+        if (r1, r2) in allowed:
             return AdmissibleFiber(sys, r1, r2)
-        except ChartError:
-            continue
+    return AdmissibleFiber(sys, *rng.choice(fibers))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +371,17 @@ def verify_linearization(flow, sys, fiber):
     return nf.nf(residual)
 
 
-def verify_new1(flow, sys, c2):
-    """Residual of (phi*/p^2) eta = (H1^{p-1}/A_{p-1}(H1,c2)) eta mod p on
-    the sphere H2 = c2, in sphere normal form.
+def sphere_residual(flow, sys):
+    """h - H1^{p-1}/A_{p-1}(H1,H2) on the mod-p chart, before the sphere
+    normal form, where h = <(phi*/p^2) eta, pi>.
 
     eta is taken as -1/2 dH1 ^ omega restricted to the sphere: v is the
     Hamiltonian field of H1/2, so -dH1 ^ omega = 2 eta (the identity of
-    acceptance criterion 03)."""
+    acceptance criterion 03).  The result does not depend on c2, so it is
+    cached on the flow."""
+    cached = getattr(flow, "_sphere_cache", None)
+    if cached is not None:
+        return cached
     fp = flow.reduce_mod_p()
     cp = fp.chart
     ab = sys.a_mod_p()
@@ -340,7 +394,15 @@ def verify_new1(flow, sys, c2):
     # <-dH1 ^ omega, pi> = 2 <eta, pi>, so halve to pair with eta
     h = frame.contract_2form(pulled) * gf.from_int(2).inv()
     lam = cp.elem(H1p ** (sys.p - 1)).div_factor(3, 1)
-    residual = h - lam
+    flow._sphere_cache = (h - lam, cp)
+    return flow._sphere_cache
+
+
+def verify_new1(flow, sys, c2):
+    """Residual of (phi*/p^2) eta = (H1^{p-1}/A_{p-1}(H1,c2)) eta mod p on
+    the sphere H2 = c2, in sphere normal form; only the normal form runs per
+    c2 (see sphere_residual)."""
+    residual, cp = sphere_residual(flow, sys)
     nf = SphereNF(cp, c2.truncate(1))
     return nf.nf(residual)
 

@@ -5,6 +5,18 @@ Polynomials are dicts mapping sparse exponent keys (sorted tuples of
 be plain ints, fractions.Fraction, or TruncatedPadic; mixed int arithmetic
 coerces naturally.
 
+The product of two polynomials packs each exponent key into one int over the
+sorted union of the operands' variables (Monagan & Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007), multiplies plain-int or Fraction coefficients into one accumulator and
+reduces each result coefficient once, then unpacks the nonzero results to the
+key format above.  If either operand has TruncatedPadic coefficients, all of
+them must share one p, and the product lies in Z/p^N with N the least
+precision among them; int coefficients are exact and are taken to that
+precision.  So an int coefficient next to TruncatedPadic ones yields
+TruncatedPadic results, and mixed precisions truncate to the minimum, the
+rule TruncatedPadic arithmetic already follows.
+
 A Chart declares an ordered variable list and a list of denominator factors
 that are units on the chart; a ChartElement is numerator / prod(factor_i ^
 k_i).  Equality of chart elements is cross-multiplied, no gcd normalization.
@@ -95,17 +107,6 @@ def coeff_inv(c):
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
-def _key_mul(k1, k2):
-    if not k1:
-        return k2
-    if not k2:
-        return k1
-    d = dict(k1)
-    for name, e in k2:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
-
-
 class MultiPoly:
     """Sparse polynomial; terms maps exponent keys to nonzero coefficients."""
 
@@ -184,6 +185,16 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Scalar or polynomial product.
+
+        A polynomial product runs through the packed-exponent kernel: keys
+        are packed into ints, coefficients multiplied as plain ints (or
+        Fractions) and each result reduced once.  With TruncatedPadic
+        coefficients in either operand the product is reduced mod p^N, N the
+        least precision among them; an int coefficient is exact and taken to
+        that precision, so int and TruncatedPadic coefficients in one operand
+        give TruncatedPadic results, and mixed precisions truncate to the
+        minimum.  Mismatched primes raise ValueError."""
         if isinstance(other, (int, Fraction, TruncatedPadic)):
             if _coeff_is_zero(other):
                 return MultiPoly._raw({})
@@ -192,22 +203,9 @@ class MultiPoly:
                  if not _coeff_is_zero(v)})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                c = c1 * c2
-                if _coeff_is_zero(c):
-                    continue
-                key = _key_mul(k1, k2)
-                if key in out:
-                    s = out[key] + c
-                    if _coeff_is_zero(s):
-                        del out[key]
-                    else:
-                        out[key] = s
-                else:
-                    out[key] = c
-        return MultiPoly._raw(out)
+        if not self.terms or not other.terms:
+            return MultiPoly._raw({})
+        return MultiPoly._raw(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -354,6 +352,65 @@ def _coeff_is_zero(c):
 
 def _coeff_one_like(c):
     return 1
+
+
+def _mul_terms(t1, t2):
+    """The product of two nonempty term dicts, by packed exponent vectors.
+
+    Variable i of the sorted union owns bits [i*w, (i+1)*w) of a packed key,
+    with w the bit length of the sum of the operands' maximum exponents, so
+    no exponent of the product overflows its field and adding two packed
+    keys multiplies the monomials."""
+    names = set()
+    width = (_max_exponent(t1, names) + _max_exponent(t2, names)).bit_length()
+    fields = [(name, i * width) for i, name in enumerate(sorted(names))]
+    shift = dict(fields)
+    mask = (1 << width) - 1
+    padics = [c for c in (*t1.values(), *t2.values())
+              if isinstance(c, TruncatedPadic)]
+    if padics:
+        p = padics[0].p
+        for c in padics:
+            if c.p != p:
+                raise ValueError("prime mismatch: %d vs %d" % (p, c.p))
+        prec = min(c.prec for c in padics)
+    value = _residue if padics else (lambda c: c)
+    left, right = ([(sum(e << shift[name] for name, e in key), value(c))
+                    for key, c in terms.items()] for terms in (t1, t2))
+    acc = {}
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k = k1 + k2
+            if k in acc:
+                acc[k] += c1 * c2
+            else:
+                acc[k] = c1 * c2
+    if padics:
+        m, make = p ** prec, TruncatedPadic._make
+        nonzero = ((k, make(p, prec, c % m)) for k, c in acc.items() if c % m)
+    else:
+        nonzero = ((k, c) for k, c in acc.items() if c)
+    return {tuple([(name, e) for name, s in fields if (e := (k >> s) & mask)]): c
+            for k, c in nonzero}
+
+
+def _max_exponent(terms, names):
+    """The largest exponent in terms; adds the variables met to names."""
+    top = 0
+    for key in terms:
+        for name, e in key:
+            names.add(name)
+            if e > top:
+                top = e
+    return top
+
+
+def _residue(c):
+    if isinstance(c, TruncatedPadic):
+        return c.val
+    if isinstance(c, int):
+        return c
+    raise TypeError("cannot multiply %r by p-adic coefficients" % (c,))
 
 
 # ---------------------------------------------------------------------------

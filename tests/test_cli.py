@@ -1,6 +1,7 @@
 """Command line: config parsing, determinism, exit codes, reports."""
 
 import json
+import time
 
 import pytest
 
@@ -143,3 +144,42 @@ def test_jet_subcommand(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "delta^0: x^2"
     assert lines[1] == "delta^1: 2*x^3*x' + 3*x'^2"
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    return err
+
+
+def test_euler_without_admissible_sphere_fiber_exit_two(capsys):
+    t0 = time.time()
+    assert cli.main(["euler", "verify", "--p", "3", "--prec", "2"]) == 2
+    assert time.time() - t0 < 5
+    assert "no admissible fiber" in _one_line_error(capsys)
+
+
+def test_euler_inadmissible_fiber_exit_two(capsys):
+    # c = (0, 0): N(c) = 0
+    assert cli.main(["euler", "verify", "--p", "5", "--prec", "2",
+                     "--c", "0,0"]) == 2
+    assert "inadmissible fiber" in _one_line_error(capsys)
+
+
+def test_euler_precision_one_exit_two(capsys):
+    assert cli.main(["euler", "verify", "--p", "5", "--prec", "1"]) == 2
+    assert "prec must be >= 2" in _one_line_error(capsys)
+
+
+def test_ap_rejects_nonprime_exit_two(capsys):
+    assert cli.main(["ap", "--p", "9", "--a", "1,2,4", "--c", "1,2"]) == 2
+    assert "odd prime" in _one_line_error(capsys)
+
+
+def test_ap_and_hasse_check_a_alike(capsys):
+    assert cli.main(["ap", "--p", "7", "--a", "1,2", "--c", "1,2"]) == 2
+    assert _one_line_error(capsys) == "error: a needs three entries\n"
+    assert cli.main(["hasse", "--p", "7", "--a", "1,2"]) == 2
+    assert _one_line_error(capsys) == "error: a needs three entries\n"
+    assert cli.main(["hasse", "--p", "9", "--a", "1,2,4"]) == 2
+    assert "odd prime" in _one_line_error(capsys)

@@ -55,6 +55,49 @@ def test_nonunit_differences_rejected():
         eu.EulerSystem(5, 3, (1, 6, 2))
 
 
+def test_precision_below_two_rejected():
+    with pytest.raises(eu.PreconditionError):
+        eu.EulerSystem(5, 1, (1, 2, 4))
+
+
+def test_no_admissible_sphere_fiber_at_p3():
+    # the three distinct a_i exhaust F_3, so N(c) vanishes when c2 is a unit
+    sysm = eu.EulerSystem(3, 2, (0, 1, 2))
+    assert eu.admissible_fibers(sysm, need_c2_unit=True) == []
+    with pytest.raises(eu.NoAdmissibleFiber):
+        eu.sample_admissible_fiber(sysm, random.Random(0), need_c2_unit=True)
+
+
+def _rejection_sample(sysm, rng, need_c2_unit):
+    p = sysm.p
+    while True:
+        r1 = rng.randrange(p)
+        r2 = rng.randrange(1, p) if need_c2_unit else rng.randrange(p)
+        try:
+            return eu.AdmissibleFiber(sysm, r1, r2)
+        except ChartError:
+            continue
+
+
+@pytest.mark.parametrize("need_c2_unit", [False, True])
+def test_sampler_draws_like_rejection_sampling(sys5, need_c2_unit):
+    """The bounded sampler gives a seeded rng's fibers unchanged."""
+    ours, theirs = random.Random(5), random.Random(5)
+    for _ in range(20):
+        got = eu.sample_admissible_fiber(sys5, ours, need_c2_unit)
+        want = _rejection_sample(sys5, theirs, need_c2_unit)
+        assert (got.c1, got.c2) == (want.c1, want.c2)
+    assert len(eu.admissible_fibers(sys5, need_c2_unit)) < sys5.p ** 2
+
+
+def test_sampler_is_bounded(sys5, monkeypatch):
+    # with no rejection draws allowed it picks from the enumerated list
+    monkeypatch.setattr(eu, "_DRAWS_PER_CANDIDATE", 0)
+    fiber = eu.sample_admissible_fiber(sys5, random.Random(3), True)
+    r = (fiber.c1.val % sys5.p, fiber.c2.val % sys5.p)
+    assert r in eu.admissible_fibers(sys5, True)
+
+
 def test_build_flow_prime_integrals(sys5):
     flow = eu.build_flow(sys5)
     for H in (sys5.H1, sys5.H2):
@@ -140,6 +183,17 @@ def test_new1_congruence(sys5, flow5):
     for _ in range(3):
         fiber = eu.sample_admissible_fiber(sys5, rng, need_c2_unit=True)
         assert eu.verify_new1(flow5, sys5, fiber.c2).is_zero()
+
+
+def test_new1_cached_residual_matches_fresh_flow(sys5, flow5):
+    # one cached c2-independent part serves every c2
+    assert eu.sphere_residual(flow5, sys5) is eu.sphere_residual(flow5, sys5)
+    for r2 in sorted({r2 for _, r2 in eu.admissible_fibers(sys5, True)}):
+        c2 = teichmuller(sys5.p, r2, sys5.prec)
+        fresh = ArithmeticFlow(sys5.chart, dict(flow5.images))
+        got = eu.verify_new1(flow5, sys5, c2)
+        want = eu.verify_new1(fresh, sys5, c2)
+        assert got.num.terms == want.num.terms and got.den == want.den
 
 
 def test_new1_shifted_lambda_shifts_residual(sys5, flow5):

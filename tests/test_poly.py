@@ -200,3 +200,183 @@ def test_nonunit_fiber_parameter_rejected():
     with pytest.raises(ChartError):
         FiberNF(chart, tuple(gf.from_int(v) for v in (1, 1, 3)),
                 gf.from_int(0), gf.from_int(1))
+
+
+# ---------------------------------------------------------------------------
+# the packed product kernel against the term-by-term double loop
+
+def _key_mul(k1, k2):
+    if not k1:
+        return k2
+    if not k2:
+        return k1
+    d = dict(k1)
+    for name, e in k2:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted(d.items()))
+
+
+def _is_zero(c):
+    return c.val == 0 if isinstance(c, TruncatedPadic) else c == 0
+
+
+def reference_mul(t1, t2):
+    """The product as a double loop over term pairs, summing coefficients in
+    their own ring and dropping zero sums as they occur."""
+    out = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            c = c1 * c2
+            if _is_zero(c):
+                continue
+            key = _key_mul(k1, k2)
+            if key in out:
+                s = out[key] + c
+                if _is_zero(s):
+                    del out[key]
+                else:
+                    out[key] = s
+            else:
+                out[key] = c
+    return out
+
+
+def assert_same_terms(got, want):
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        g = got[key]
+        assert type(g) is type(w), key
+        if isinstance(w, TruncatedPadic):
+            assert (g.p, g.prec, g.val) == (w.p, w.prec, w.val), key
+        else:
+            assert g == w, key
+
+
+VARS = ("a", "x1", "x2", "x3", "z1")
+# up to 80, like the denominator exponents (75) of the p = 5, prec 4 images
+keys = st.dictionaries(st.sampled_from(VARS), st.integers(1, 80),
+                       max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+
+def term_dicts(coeffs, max_size=6):
+    return st.dictionaries(keys, coeffs, max_size=max_size)
+
+
+ints = st.integers(-60, 60).filter(bool)
+fractions = st.builds(Fraction, st.integers(-30, 30).filter(bool),
+                      st.integers(1, 12))
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two term dicts in one coefficient ring, neither mixing ints with
+    TruncatedPadics nor precisions: ZZ, QQ, Z/p^N, or ints times Z/p^N.
+    Z/p^N values are unit multiples of random p-powers, so products and sums
+    often vanish."""
+    kind = draw(st.sampled_from(("ZZ", "QQ", "Zp", "int*Zp", "Zp*int")))
+    if kind == "ZZ":
+        return draw(term_dicts(ints)), draw(term_dicts(ints))
+    if kind == "QQ":
+        return draw(term_dicts(fractions)), draw(term_dicts(fractions))
+    p = draw(st.sampled_from((3, 5, 7)))
+    prec = draw(st.integers(1, 4))
+    padics = st.builds(lambda u, k: TruncatedPadic(p, prec, u * p ** k),
+                       st.integers(1, p ** prec), st.integers(0, prec)
+                       ).filter(lambda c: c.val != 0)
+    if kind == "Zp":
+        return draw(term_dicts(padics)), draw(term_dicts(padics))
+    pair = draw(term_dicts(ints)), draw(term_dicts(padics))
+    return pair if kind == "int*Zp" else pair[::-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_packed_product_matches_double_loop(pair):
+    t1, t2 = pair
+    got = MultiPoly._raw(dict(t1)) * MultiPoly._raw(dict(t2))
+    assert_same_terms(got.terms, reference_mul(t1, t2))
+
+
+def test_packed_product_edge_cases():
+    p, prec = 5, 3
+    tp = lambda v: TruncatedPadic(p, prec, v)
+    x = {(("x1", 1),): tp(5)}
+    y = {(("x2", 80),): tp(25), (): tp(50)}
+    # every coefficient product is divisible by p^3
+    assert (MultiPoly._raw(x) * MultiPoly._raw(y)).terms == {}
+    assert reference_mul(x, y) == {}
+    # (x1 - x2)(x1 + x2): the cross terms cancel
+    f = parse_poly("x1 - x2") * parse_poly("x1 + x2")
+    assert_same_terms(f.terms, parse_poly("x1^2 - x2^2").terms)
+    # empty and constant operands
+    g = parse_poly("3*x1^79*x3 - 2")
+    assert (MultiPoly.const(0) * g).terms == {}
+    assert (g * MultiPoly._raw({})).terms == {}
+    assert_same_terms((MultiPoly.const(7) * g).terms,
+                      reference_mul({(): 7}, g.terms))
+    assert_same_terms((MultiPoly.const(7) * MultiPoly.const(6)).terms, {(): 42})
+    # the packing width: 79 + 79 needs 8 bits per field
+    h = g * g
+    assert h.terms[(("x1", 158), ("x3", 2))] == 9
+    assert_same_terms(h.terms, reference_mul(g.terms, g.terms))
+
+
+def test_packed_product_mixed_operands_rule():
+    """Where an operand mixes ints with TruncatedPadics, or precisions, the
+    whole product lies in Z/p^N with N the least precision present."""
+    tp = TruncatedPadic
+    f = {(): 2, (("x1", 1),): tp(5, 3, 7)}
+    g = {(("x2", 1),): 3}
+    got = (MultiPoly._raw(f) * MultiPoly._raw(g)).terms
+    assert_same_terms(got, {(("x2", 1),): tp(5, 3, 6),
+                            (("x1", 1), ("x2", 1)): tp(5, 3, 21)})
+    # the double loop would have kept the int 6
+    assert type(reference_mul(f, g)[(("x2", 1),)]) is int
+    f = {(("x1", 1),): tp(5, 3, 7)}
+    g = {(): tp(5, 3, 2), (("x2", 1),): tp(5, 1, 1)}
+    got = (MultiPoly._raw(f) * MultiPoly._raw(g)).terms
+    assert_same_terms(got, {(("x1", 1),): tp(5, 1, 4),
+                            (("x1", 1), ("x2", 1)): tp(5, 1, 2)})
+    with pytest.raises(ValueError):
+        MultiPoly._raw(f) * MultiPoly._raw({(): tp(7, 3, 1)})
+    with pytest.raises(TypeError):
+        MultiPoly._raw(f) * MultiPoly._raw({(): Fraction(1, 2)})
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for products and powers over ZZ
+
+sympy = pytest.importorskip("sympy")
+SYMBOLS = sympy.symbols(VARS)
+
+
+def to_sympy(f):
+    index = {name: i for i, name in enumerate(VARS)}
+    data = {}
+    for key, c in f.terms.items():
+        exps = [0] * len(VARS)
+        for name, e in key:
+            exps[index[name]] = e
+        data[tuple(exps)] = c
+    return sympy.Poly.from_dict(data, *SYMBOLS, domain="ZZ")
+
+
+def from_sympy(poly):
+    return {tuple((name, e) for name, e in zip(VARS, exps) if e): int(c)
+            for exps, c in poly.as_dict().items()}
+
+
+int_polys = term_dicts(ints, max_size=5).map(MultiPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(int_polys, int_polys)
+def test_product_matches_sympy(f, g):
+    assert_same_terms((f * g).terms, from_sympy(to_sympy(f) * to_sympy(g)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(term_dicts(st.integers(-3, 3).filter(bool), max_size=3).map(MultiPoly),
+       st.integers(0, 5))
+def test_power_matches_sympy(f, n):
+    assert_same_terms((f ** n).terms, from_sympy(to_sympy(f) ** n))
