@@ -416,7 +416,7 @@ def main(argv=None):
     _add_common(sp)
 
     sp = sub.add_parser("euler", help="arithmetic Euler flow checks")
-    sp.add_argument("mode", choices=["build", "verify"])
+    sp.add_argument("mode", choices=["verify"])
     sp.add_argument("--perturb", action="store_true",
                     help="perturb the flow to demonstrate a failing report")
     _add_common(sp)

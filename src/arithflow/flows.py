@@ -13,23 +13,34 @@ residuals for canonical flows.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+from itertools import combinations
+
 from .poly import MultiPoly, ChartElement, Zp
 from .forms import DiffForm, elem_deriv, lie_derivative
 
 
-class ClassicalFlow:
-    """A derivation of the chart ring extending a base derivation."""
+class Flow:
+    """A flow on a chart, given by the images of the chart variables."""
 
-    def __init__(self, chart, images, base_deriv=None):
+    def __init__(self, chart, images):
         self.chart = chart
         self.images = dict(images)
-        # base_deriv maps a coefficient to its derivative; default is zero
-        self.base_deriv = base_deriv
 
     def image(self, name):
         if name in self.images:
             return self.images[name]
         return self.chart.zero()
+
+
+class ClassicalFlow(Flow):
+    """A derivation of the chart ring extending a base derivation."""
+
+    def __init__(self, chart, images, base_deriv=None):
+        super().__init__(chart, images)
+        # base_deriv maps a coefficient to its derivative; default is zero
+        self.base_deriv = base_deriv
 
     def apply_poly(self, f):
         """Apply the derivation to a polynomial; result is a chart element."""
@@ -66,7 +77,7 @@ def check_prime_integral(flow, H):
     Classical flows: the derivation applied to H.  Arithmetic flows:
     phi(H) - H^p, which is p times the p-derivation of H.
     """
-    if isinstance(flow, (ArithmeticFlow, ModPFrobenius)):
+    if isinstance(flow, FrobeniusLift):
         return flow.phi_elem_or_poly(H) - flow.power_p(H)
     if isinstance(H, MultiPoly):
         return flow.apply_poly(H)
@@ -161,7 +172,26 @@ def is_symplectic_hamiltonian(flow, eta, frame, sphere_nf):
 # ---------------------------------------------------------------------------
 # arithmetic flows
 
-class ArithmeticFlow:
+class FrobeniusLift(Flow):
+    """A Frobenius lift phi on a chart, carrying its flow images; subclasses
+    give phi on polynomials (phi_poly) and on chart elements (phi_elem)."""
+
+    def __init__(self, chart, p, images):
+        super().__init__(chart, images)
+        self.p = p
+
+    def phi_elem_or_poly(self, f):
+        if isinstance(f, MultiPoly):
+            return self.phi_poly(f)
+        return self.phi_elem(f)
+
+    def power_p(self, f):
+        if isinstance(f, MultiPoly):
+            return self.chart.elem(f ** self.p)
+        return f ** self.p
+
+
+class ArithmeticFlow(FrobeniusLift):
     """A p-derivation on a chart with p-adic coefficients.
 
     Stored as the images u_i with phi(x_i) = x_i^p + p u_i; phi acts as the
@@ -172,17 +202,10 @@ class ArithmeticFlow:
     def __init__(self, chart, images):
         if not isinstance(chart.ring, Zp):
             raise TypeError("arithmetic flows need a p-adic chart")
-        self.chart = chart
-        self.p = chart.ring.p
+        super().__init__(chart, chart.ring.p, images)
         self.prec = chart.ring.prec
-        self.images = dict(images)
         self._phi_var = {}
         self._inv_phi_factor = {}
-
-    def image(self, name):
-        if name in self.images:
-            return self.images[name]
-        return self.chart.zero()
 
     def phi_var(self, name):
         if name not in self._phi_var:
@@ -200,7 +223,7 @@ class ArithmeticFlow:
             for name, e in key:
                 pk = (name, e)
                 if pk not in pow_cache:
-                    pow_cache[pk] = _elem_pow(self.phi_var(name), e)
+                    pow_cache[pk] = self.phi_var(name) ** e
                 term = term * pow_cache[pk]
             out = out + term
         return out
@@ -209,16 +232,6 @@ class ArithmeticFlow:
         """(phi(f) - f^p)/p; divisibility is structural and asserted."""
         diff = self.phi_poly(f) - self.chart.elem(f ** self.p)
         return diff.exact_div_p()
-
-    def power_p(self, f):
-        if isinstance(f, MultiPoly):
-            return self.chart.elem(f ** self.p)
-        return _elem_pow(f, self.p)
-
-    def phi_elem_or_poly(self, f):
-        if isinstance(f, MultiPoly):
-            return self.phi_poly(f)
-        return self.phi_elem(f)
 
     def inv_phi_factor(self, i):
         """1/phi(C) for the i-th denominator factor C, as a chart element.
@@ -249,7 +262,7 @@ class ArithmeticFlow:
         out = self.phi_poly(e.num)
         for i, k in enumerate(e.den):
             if k:
-                out = out * _elem_pow(self.inv_phi_factor(i), k)
+                out = out * self.inv_phi_factor(i) ** k
         return out
 
     def reduce_mod_p(self):
@@ -258,22 +271,12 @@ class ArithmeticFlow:
         return ModPFrobenius(self.chart.reduce_mod_p(), self.p, images)
 
 
-class ModPFrobenius:
+class ModPFrobenius(FrobeniusLift):
     """phi mod p: plain p-power Frobenius substitution on an F_p chart.
 
     Carries the mod-p flow images u_i so arithmetic pullbacks of forms can
     still be formed (the images enter through du_j, not through phi itself).
     """
-
-    def __init__(self, chart, p, images):
-        self.chart = chart
-        self.p = p
-        self.images = dict(images)
-
-    def image(self, name):
-        if name in self.images:
-            return self.images[name]
-        return self.chart.zero()
 
     def phi_poly(self, f):
         return ChartElement(self.chart, f.frobenius_exponents(self.p),
@@ -283,45 +286,18 @@ class ModPFrobenius:
         return ChartElement(self.chart, e.num.frobenius_exponents(self.p),
                             tuple(k * self.p for k in e.den))
 
-    def phi_elem_or_poly(self, f):
-        if isinstance(f, MultiPoly):
-            return self.phi_poly(f)
-        return self.phi_elem(f)
-
-    def power_p(self, f):
-        if isinstance(f, MultiPoly):
-            return self.chart.elem(f ** self.p)
-        return _elem_pow(f, self.p)
-
-
-def _elem_pow(e, n):
-    result = e.chart.one()
-    base = e
-    while n:
-        if n & 1:
-            result = result * base
-        n >>= 1
-        if n:
-            base = base * base
-    return result
-
 
 # ---------------------------------------------------------------------------
 # Lax flows and characteristic polynomials
 
+def _dot(row, col):
+    return reduce(operator.add, map(operator.mul, row, col))
+
+
 def mat_mul(A, B):
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    return [[sum((A[i][k] * B[k][j] for k in range(inner)),
-                 start=_zero_like(A[i][0]))
-             for j in range(m)] for i in range(n)]
-
-
-def _zero_like(e):
-    if isinstance(e, ChartElement):
-        return e.chart.zero()
-    return 0
+    """The product of two matrices given as lists of rows."""
+    cols = list(zip(*B))
+    return [[_dot(row, col) for col in cols] for row in A]
 
 
 def commutator(M, X):
@@ -368,26 +344,9 @@ def char_poly_coeffs(X):
     P_j is the sum of the principal j x j minors (direct expansion, n <= 4).
     """
     n = len(X)
-    out = []
-    for j in range(1, n + 1):
-        total = None
-        for subset in _subsets(range(n), j):
-            sub = [[X[i][k] for k in subset] for i in subset]
-            d = _det(sub)
-            total = d if total is None else total + d
-        out.append(total)
-    return out
-
-
-def _subsets(pool, k):
-    pool = list(pool)
-    n = len(pool)
-    if k == 0:
-        yield ()
-        return
-    for i in range(n - k + 1):
-        for rest in _subsets(pool[i + 1:], k - 1):
-            yield (pool[i],) + rest
+    return [reduce(operator.add, (_det([[X[i][k] for k in subset] for i in subset])
+                                  for subset in combinations(range(n), j)))
+            for j in range(1, n + 1)]
 
 
 def isospectrality_defect(chart, M, n, j, prefix="x"):

@@ -5,10 +5,17 @@ raise the torus part and the conjugating matrix entrywise to the p-th
 power) and the characteristic-polynomial lift (companion form with the
 char-poly coefficients raised to the p-th power).  Both reduce to the
 p-power Frobenius mod p; the second makes every P_j a delta-constant.
+
+The matrix product, the determinant and the char-poly coefficients are the
+ones of flows (mat_mul, _det, char_poly_coeffs).  One unit-pivot row
+reduction (_row_reduce) serves the inverse and the eigenvector kernels, and
+one Horner pass (_charpoly_eval) gives det(t - x) and its derivative for
+the Hensel lift of the eigenvalues.
 """
 
 from __future__ import annotations
 
+from .flows import _det, char_poly_coeffs, mat_mul
 from .padic import TruncatedPadic, is_delta_constant
 
 
@@ -61,11 +68,7 @@ class PMatrix:
 
     def __mul__(self, other):
         if isinstance(other, PMatrix):
-            n = self.n
-            return PMatrix([[sum((self.rows[i][k] * other.rows[k][j]
-                                  for k in range(n)),
-                                 start=TruncatedPadic(self.p, self.prec, 0))
-                             for j in range(n)] for i in range(n)])
+            return PMatrix(mat_mul(self.rows, other.rows))
         return PMatrix([[e * other for e in r] for r in self.rows])
 
     def __add__(self, other):
@@ -89,31 +92,13 @@ class PMatrix:
     def inv(self):
         """Gauss-Jordan with unit pivots; never divides by p."""
         n = self.n
-        aug = [list(r) + [TruncatedPadic(self.p, self.prec, 1 if i == j else 0)
-                          for j in range(n)]
-               for i, r in enumerate(self.rows)]
-        for col in range(n):
-            pivot = None
-            for row in range(col, n):
-                if aug[row][col].is_unit():
-                    pivot = row
-                    break
-            if pivot is None:
-                raise ZeroDivisionError("matrix is not invertible (no unit pivot)")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inv()
-            aug[col] = [e * inv for e in aug[col]]
-            for row in range(n):
-                if row == col:
-                    continue
-                f = aug[row][col]
-                if f.is_zero():
-                    continue
-                aug[row] = [e - f * g for e, g in zip(aug[row], aug[col])]
-        return PMatrix([r[n:] for r in aug])
+        eye = PMatrix.identity(n, self.p, self.prec).rows
+        rows, pivots = _row_reduce([r + e for r, e in zip(self.rows, eye)], n)
+        if len(pivots) < n:
+            raise ZeroDivisionError("matrix is not invertible (no unit pivot)")
+        return PMatrix([r[n:] for r in rows])
 
     def det(self):
-        from .flows import _det
         return _det(self.rows)
 
     def trace(self):
@@ -129,7 +114,6 @@ class PMatrix:
 def char_poly(x):
     """P_1 .. P_n with det(s - x) = sum_j (-1)^j P_j s^{n-j} (P_0 = 1);
     P_j is the sum of the principal j x j minors."""
-    from .flows import char_poly_coeffs
     return char_poly_coeffs(x.rows)
 
 
@@ -145,25 +129,13 @@ def phi0_entrywise(g):
 
 
 def _charpoly_eval(P, t):
-    """det(t - x) = t^n - P_1 t^{n-1} + ... given the minor sums P."""
-    n = len(P)
-    val = t ** n
-    sign = -1
+    """det(t - x) = t^n - P_1 t^{n-1} + ... and its derivative in t, given
+    the minor sums P, by one Horner pass."""
+    val, der = t ** 0, t * 0
     for j, Pj in enumerate(P, start=1):
-        val = val + Pj * (t ** (n - j)) * sign
-        sign = -sign
-    return val
-
-
-def _charpoly_deriv_eval(P, t):
-    n = len(P)
-    val = t ** (n - 1) * n
-    sign = -1
-    for j, Pj in enumerate(P, start=1):
-        if n - j >= 1:
-            val = val + Pj * (t ** (n - j - 1)) * (n - j) * sign
-        sign = -sign
-    return val
+        der = der * t + val
+        val = val * t + (Pj if j % 2 == 0 else -Pj)
+    return val, der
 
 
 def eigen_split(x):
@@ -178,7 +150,7 @@ def eigen_split(x):
     residues = []
     for r in range(p):
         t = TruncatedPadic(p, prec, r)
-        if _charpoly_eval(P, t).truncate(1).is_zero():
+        if _charpoly_eval(P, t)[0].truncate(1).is_zero():
             residues.append(r)
     if len(residues) < n:
         raise RepeatedEigenvalueError(
@@ -186,12 +158,13 @@ def eigen_split(x):
     roots = []
     for r in residues:
         t = TruncatedPadic(p, prec, r)
-        d = _charpoly_deriv_eval(P, t)
-        if not d.is_unit():
+        val, der = _charpoly_eval(P, t)
+        if not der.is_unit():
             raise RepeatedEigenvalueError("repeated eigenvalue mod p")
         for _ in range(prec):
-            t = t - _charpoly_eval(P, t) * _charpoly_deriv_eval(P, t).inv()
-        assert _charpoly_eval(P, t).is_zero()
+            t = t - val * der.inv()
+            val, der = _charpoly_eval(P, t)
+        assert val.is_zero()
         roots.append(t)
     # eigenvector for each root: kernel of (x - t), unit-pivot elimination
     cols = []
@@ -206,40 +179,43 @@ def eigen_split(x):
     return h, g
 
 
+def _row_reduce(rows, ncols):
+    """Reduced row echelon form over Z/p^N in the first ncols columns, with
+    unit pivots scaled to 1, so it never divides by p.  A column without a
+    unit entry below the pivots found so far gets no pivot.  Returns the
+    reduced rows and the pivot columns; pivot k sits in row k."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col].is_unit()),
+                   None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        inv = rows[top][col].inv()
+        rows[top] = [e * inv for e in rows[top]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r != top and not f.is_zero():
+                rows[r] = [e - f * g for e, g in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows, pivots
+
+
 def _kernel_vector(m, p, prec):
     """A kernel vector of a rank n-1 matrix over Z/p^N with a unit-normalized
     free coordinate."""
     n = len(m)
-    m = [list(r) for r in m]
-    pivots = {}
-    row = 0
-    for col in range(n):
-        piv = None
-        for r in range(row, n):
-            if m[r][col].is_unit():
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col].inv()
-        m[row] = [e * inv for e in m[row]]
-        for r in range(n):
-            if r != row and not m[r][col].is_zero():
-                f = m[r][col]
-                m[r] = [e - f * g for e, g in zip(m[r], m[row])]
-        pivots[col] = row
-        row += 1
+    rows, pivots = _row_reduce(m, n)
     free = [c for c in range(n) if c not in pivots]
     if not free:
         raise RepeatedEigenvalueError("no kernel: eigenvalue is not exact")
     fc = free[0]
-    one = TruncatedPadic(p, prec, 1)
-    zero = TruncatedPadic(p, prec, 0)
-    v = [zero] * n
-    v[fc] = one
-    for col, r in pivots.items():
-        v[col] = -m[r][fc]
+    v = [TruncatedPadic(p, prec, 0)] * n
+    v[fc] = TruncatedPadic(p, prec, 1)
+    for r, col in enumerate(pivots):
+        v[col] = -rows[r][fc]
     return v
 
 
@@ -251,19 +227,13 @@ def frobenius_star(x):
     return conj(hp, phi0_entrywise(g))
 
 
-def _mat_vec(x, v):
-    n = x.n
-    return [sum((x.rows[i][k] * v[k] for k in range(n)),
-                start=TruncatedPadic(x.p, x.prec, 0)) for i in range(n)]
-
-
 def _cyclic_matrix(x, v):
     """Columns v, xv, ..., x^{n-1}v; None if not invertible."""
     n = x.n
-    cols = [v]
+    cols = [[[e] for e in v]]   # n x 1 matrices
     for _ in range(n - 1):
-        cols.append(_mat_vec(x, cols[-1]))
-    S = PMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
+        cols.append(mat_mul(x.rows, cols[-1]))
+    S = PMatrix([[col[i][0] for col in cols] for i in range(n)])
     try:
         Sinv = S.inv()
     except ZeroDivisionError:

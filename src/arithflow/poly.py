@@ -91,19 +91,6 @@ class Zp:
         return hash((self.p, self.prec))
 
 
-def coeff_inv(c):
-    """Invert a coefficient in its own ring."""
-    if isinstance(c, TruncatedPadic):
-        return c.inv()
-    if isinstance(c, Fraction):
-        return 1 / c
-    if isinstance(c, int):
-        if c in (1, -1):
-            return c
-        return Fraction(1, c)
-    raise TypeError("cannot invert %r" % (c,))
-
-
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
@@ -264,7 +251,7 @@ class MultiPoly:
                         pow_cache[pk] = mapping[name] ** e
                     term = term * pow_cache[pk]
                 else:
-                    term = term * MultiPoly._raw({((name, e),): _coeff_one_like(c)})
+                    term = term * MultiPoly._raw({((name, e),): 1})
             result = result + term
         return result
 
@@ -348,10 +335,6 @@ def _coeff_is_zero(c):
     if isinstance(c, TruncatedPadic):
         return c.val == 0
     return c == 0
-
-
-def _coeff_one_like(c):
-    return 1
 
 
 def _mul_terms(t1, t2):
@@ -517,10 +500,8 @@ class ChartElement:
             raise ValueError("chart mismatch")
         return other
 
-    def __add__(self, other):
-        o = self._align(other)
-        if o is None:
-            return NotImplemented
+    def _common(self, o):
+        """Both numerators over the least common denominator."""
         den = tuple(max(a, b) for a, b in zip(self.den, o.den))
         n1 = self.num
         n2 = o.num
@@ -529,6 +510,13 @@ class ChartElement:
                 n1 = n1 * f ** (den[i] - self.den[i])
             if den[i] > o.den[i]:
                 n2 = n2 * f ** (den[i] - o.den[i])
+        return n1, n2, den
+
+    def __add__(self, other):
+        o = self._align(other)
+        if o is None:
+            return NotImplemented
+        n1, n2, den = self._common(o)
         return ChartElement(self.chart, n1 + n2, den)
 
     __radd__ = __add__
@@ -556,6 +544,19 @@ class ChartElement:
 
     __rmul__ = __mul__
 
+    def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative power of a chart element")
+        result = self.chart.one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
     def div_factor(self, index, k=1):
         den = list(self.den)
         den[index] += k
@@ -565,15 +566,7 @@ class ChartElement:
         o = self._align(other)
         if o is None:
             return NotImplemented
-        # cross-multiplied equality
-        den = tuple(max(a, b) for a, b in zip(self.den, o.den))
-        n1 = self.num
-        n2 = o.num
-        for i, f in enumerate(self.chart.factors):
-            if den[i] > self.den[i]:
-                n1 = n1 * f ** (den[i] - self.den[i])
-            if den[i] > o.den[i]:
-                n2 = n2 * f ** (den[i] - o.den[i])
+        n1, n2, _ = self._common(o)
         return (n1 - n2).is_zero()
 
     def __hash__(self):
@@ -602,7 +595,7 @@ class ChartElement:
             fv = f.eval(values)
             if not ring.is_unit(fv):
                 raise ChartError("denominator %s is not a unit at the point" % f)
-            total = total * coeff_inv(fv) ** k
+            total = total * ring.inv(fv) ** k
         return total
 
     def __str__(self):
@@ -673,7 +666,7 @@ class FiberNF(SphereNF):
         ring = chart.ring
         if not ring.is_unit(d):
             raise ChartError("a2 - a1 must be a unit for the fiber normal form")
-        dinv = coeff_inv(d)
+        dinv = ring.inv(d)
         self.sub2 = (MultiPoly.const((c1 - a1 * c2) * dinv)
                      - MultiPoly.monomial((a3 - a1) * dinv, x3=2))
         self.sub1 = (MultiPoly.const(c2)

@@ -1,9 +1,12 @@
 """Command line: config parsing, determinism, exit codes, reports."""
 
+import io
 import json
 import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithflow import cli
 
@@ -183,3 +186,41 @@ def test_ap_and_hasse_check_a_alike(capsys):
     assert _one_line_error(capsys) == "error: a needs three entries\n"
     assert cli.main(["hasse", "--p", "9", "--a", "1,2,4"]) == 2
     assert "odd prime" in _one_line_error(capsys)
+
+
+def test_euler_build_mode_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["euler", "build", "--p", "5", "--prec", "2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'build'" in capsys.readouterr().err
+
+
+def _csv(values):
+    # --a=-1,2,3: a value that starts with "-" must be joined to its flag
+    return ",".join(str(v) for v in values)
+
+
+# hypothesis favours the first entries of sampled_from, so the values that
+# pass the argument checks come first and some draws run the whole verify
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((5, 7, 3, 9, 4, 2)), st.sampled_from((2, 3, 1, 0)),
+       st.lists(st.integers(-3, 8), min_size=3, max_size=3, unique=True),
+       st.none() | st.lists(st.integers(-2, 8), min_size=2, max_size=2))
+def test_euler_verify_ends_in_bounded_time_with_a_documented_code(p, prec, a, c):
+    argv = ["euler", "verify", "--p", str(p), "--prec", str(prec),
+            "--a=" + _csv(a), "--samples", "1"]
+    if c is not None:
+        argv.append("--c=" + _csv(c))
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.time()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+            usage_error = False
+        except SystemExit as exc:   # argparse rejects the command line
+            rc, usage_error = exc.code, True
+    assert time.time() - t0 < 2.0
+    assert rc in (0, 2), (argv, rc, err.getvalue())
+    if rc == 2 and not usage_error:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -241,6 +241,26 @@ def test_fiber_frobenius(sys5, flow5):
         pytest.skip("point lies outside the localized chart")
 
 
+def test_fiber_frobenius_rejects_flows_without_prime_integrals(sys5, flow5):
+    fiber = eu.sample_admissible_fiber(sys5, random.Random(19))
+    chart = sys5.chart
+    perturbed = ArithmeticFlow(chart, dict(
+        flow5.images, x3=flow5.images["x3"] + chart.var("x3")))
+    for bad in (perturbed, ArithmeticFlow(chart, {})):
+        assert not check_prime_integral(bad, sys5.H1).is_zero()
+        with pytest.raises(ArithmeticError):
+            eu.fiber_frobenius(bad, sys5, fiber)
+    # the good flow passes, and its images are phi(x_i) mod p = x_i^p
+    images = eu.fiber_frobenius(flow5, sys5, fiber)
+    cp = chart.reduce_mod_p()
+    one = cp.ring.from_int(1)
+    for name in chart.vars:
+        want = flow5.phi_var(name).reduce_mod_p()
+        assert images[name].num.terms == want.num.terms
+        assert images[name].den == want.den
+        assert images[name] == cp.elem(MultiPoly.monomial(one, **{name: sys5.p}))
+
+
 def test_new2_form(sys5, flow5):
     rng = random.Random(23)
     fiber = eu.sample_admissible_fiber(sys5, rng)

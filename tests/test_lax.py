@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from arithflow.padic import TruncatedPadic, teichmuller
 from arithflow import lax as lx
@@ -183,3 +184,74 @@ def test_spectrum_check_contract():
     bad = M(p, prec, [[1 + p, 0], [0, 2]])
     with pytest.raises(ValueError):
         lx.spectrum_delta_constant_check(bad)
+
+
+# ---------------------------------------------------------------------------
+# properties of the shared matrix code: product, row reduction, Horner
+
+# (n, p, N): n x n matrices over Z/p^N
+rings_and_sizes = st.tuples(st.integers(1, 4), st.sampled_from((3, 5, 7)),
+                            st.integers(1, 4))
+
+
+def draw_matrix(draw, n, p, prec):
+    return [[TruncatedPadic(p, prec, draw(st.integers(0, p ** prec - 1)))
+             for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_inverse_exists_iff_det_is_unit(data):
+    n, p, prec = data.draw(rings_and_sizes)
+    rows = draw_matrix(data.draw, n, p, prec)
+    if data.draw(st.booleans()):
+        # a row divisible by p makes the matrix singular mod p
+        k = data.draw(st.integers(0, n - 1))
+        rows[k] = [e * p for e in rows[k]]
+    x = lx.PMatrix(rows)
+    if not x.det().is_unit():
+        with pytest.raises(ZeroDivisionError):
+            x.inv()
+        return
+    y = x.inv()
+    one = lx.PMatrix.identity(n, p, prec)
+    assert x * y == one and y * x == one
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_kernel_vector_of_a_rank_deficient_matrix(data):
+    # m = U diag(0, u_2, .., u_n) L with U, L unitriangular has rank n-1 mod
+    # p, and L^{-1} e_1, whose first entry is 1, spans an exact kernel
+    n, p, prec = data.draw(rings_and_sizes)
+    entries = draw_matrix(data.draw, n, p, prec)
+    units = [TruncatedPadic(p, prec, data.draw(st.integers(1, p - 1)))
+             for _ in range(n)]
+    one, zero = units[0] ** 0, units[0] * 0
+    L = lx.PMatrix([[one if i == j else entries[i][j] if i > j else zero
+                     for j in range(n)] for i in range(n)])
+    U = lx.PMatrix([[one if i == j else entries[i][j] if i < j else zero
+                     for j in range(n)] for i in range(n)])
+    D = lx.PMatrix.diagonal([zero] + units[1:])
+    m = (U * D * L).rows
+    v = lx._kernel_vector(m, p, prec)
+    assert any(e.is_unit() for e in v)
+    assert all((sum((a * b for a, b in zip(row, v)), zero)).is_zero()
+               for row in m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_horner_value_and_derivative(data):
+    n, p, prec = data.draw(rings_and_sizes)
+    m = p ** prec
+    P = [data.draw(st.integers(0, m - 1)) for _ in range(n)]
+    t = data.draw(st.integers(0, m - 1))
+    # t^n - P_1 t^{n-1} + ... + (-1)^n P_n, term by term
+    coeffs = [1] + [(-1) ** j * Pj for j, Pj in enumerate(P, start=1)]
+    value = sum(c * t ** (n - j) for j, c in enumerate(coeffs))
+    deriv = sum(c * (n - j) * t ** (n - j - 1) for j, c in enumerate(coeffs)
+                if n - j >= 1)
+    val, der = lx._charpoly_eval([TruncatedPadic(p, prec, Pj) for Pj in P],
+                                 TruncatedPadic(p, prec, t))
+    assert (val.val, der.val) == (value % m, deriv % m)

@@ -380,3 +380,66 @@ def test_product_matches_sympy(f, g):
        st.integers(0, 5))
 def test_power_matches_sympy(f, n):
     assert_same_terms((f ** n).terms, from_sympy(to_sympy(f) ** n))
+
+
+# exponents stay small here: substitute raises each image to the exponent
+small_keys = st.dictionaries(st.sampled_from(VARS), st.integers(1, 4),
+                             max_size=3).map(lambda d: tuple(sorted(d.items())))
+small_int_polys = st.dictionaries(small_keys, st.integers(-5, 5).filter(bool),
+                                  max_size=4).map(MultiPoly)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_int_polys,
+       st.dictionaries(st.sampled_from(VARS), small_int_polys, max_size=3))
+def test_substitute_matches_sympy(f, mapping):
+    images = {sympy.Symbol(name): to_sympy(g).as_expr()
+              for name, g in mapping.items()}
+    want = sympy.expand(to_sympy(f).as_expr().subs(images, simultaneous=True))
+    assert_same_terms(f.substitute(mapping).terms,
+                      from_sympy(sympy.Poly(want, *SYMBOLS, domain="ZZ")))
+
+
+X = sympy.symbols("x1 x2 x3")
+xkeys = st.dictionaries(st.sampled_from(("x1", "x2", "x3")), st.integers(1, 7),
+                        max_size=3).map(lambda d: tuple(sorted(d.items())))
+
+
+def gf_to_sympy(f):
+    return sum((c.val * sympy.Mul(*(sympy.Symbol(n) ** e for n, e in key))
+                for key, c in f.terms.items()), sympy.Integer(0))
+
+
+@st.composite
+def nf_cases(draw):
+    """A prime p, the generators of a fiber ideal (H1 - c1, H2 - c2) or a
+    sphere ideal (H2 - c2) over F_p, the library's normal form for it, and a
+    polynomial in x1, x2, x3."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    gf = Zp(p, 1)
+    chart = Chart(("x1", "x2", "x3"), (), gf)
+    c1, c2 = (draw(st.integers(0, p - 1)) for _ in range(2))
+    a = draw(st.lists(st.integers(0, p - 1), min_size=3, max_size=3))
+    coeffs = st.integers(1, p - 1).map(gf.from_int)
+    f = MultiPoly(draw(st.dictionaries(xkeys, coeffs, max_size=5)))
+    sphere = [X[0] ** 2 + X[1] ** 2 + X[2] ** 2 - c2]
+    if draw(st.booleans()) and (a[1] - a[0]) % p:
+        fiber = sphere + [sum(ai * x ** 2 for ai, x in zip(a, X)) - c1]
+        nf = FiberNF(chart, [gf.from_int(ai) for ai in a], gf.from_int(c1),
+                     gf.from_int(c2))
+        return p, fiber, nf, f
+    return p, sphere, SphereNF(chart, gf.from_int(c2)), f
+
+
+@settings(max_examples=60, deadline=None)
+@given(nf_cases())
+def test_normal_forms_match_sympy_reduced(case):
+    # in lex order the reduced Groebner basis of the fiber ideal is
+    # {x1^2 - sub1, x2^2 - sub2}, with coprime leading monomials, and a single
+    # sphere generator is one by itself; so the remainder of sympy's division
+    # is the unique normal form
+    p, gens, nf, f = case
+    basis = sympy.groebner(gens, *X, order="lex", modulus=p).exprs
+    _, want = sympy.reduced(gf_to_sympy(f), basis, *X, order="lex", modulus=p)
+    got = sympy.Poly(gf_to_sympy(nf.nf_poly(f)), *X, modulus=p)
+    assert got == sympy.Poly(want, *X, modulus=p)
