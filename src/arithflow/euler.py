@@ -137,12 +137,10 @@ class AdmissibleFiber:
 
     def __init__(self, sys, r1, r2):
         p = sys.p
+        if (r1 % p, r2 % p) not in admissible_fibers(sys):
+            raise InadmissibleFiber("inadmissible fiber: N(c) A(c) not a unit")
         self.c1 = teichmuller(p, r1 % p, sys.prec)
         self.c2 = teichmuller(p, r2 % p, sys.prec)
-        nv = sys.N_z.eval({"z1": self.c1, "z2": self.c2})
-        av = sys.A_z.eval({"z1": self.c1, "z2": self.c2})
-        if not (nv.is_unit() and av.is_unit()):
-            raise InadmissibleFiber("inadmissible fiber: N(c) A(c) not a unit")
 
 
 def admissible_fibers(sys, need_c2_unit=False):
@@ -206,14 +204,8 @@ class FlowBuilder:
                       for name in chart.vars]
         # rows of the quadratic forms: H1 has weights a_i, H2 has weights 1
         self.weights = (sys.a, (one, one, one))
-        self.R = []
-        for w in self.weights:
-            phiH = chart.zero()
-            H = MultiPoly.const(0 * one)
-            for i, wi in enumerate(w):
-                H = H + MultiPoly.monomial(wi, **{"x%d" % (i + 1): 2})
-                phiH = phiH + self.phi_x[i] * self.phi_x[i] * wi
-            self.R.append(phiH - chart.elem(H ** p))
+        start = ArithmeticFlow(chart, {})
+        self.R = [check_prime_integral(start, H) for H in (sys.H1, sys.H2)]
 
     def apply_increment(self, delta, p_order):
         """u += delta, where delta = p^p_order * (unit-level data)."""
@@ -353,12 +345,10 @@ def pullback_coefficient(flow, sys):
 
 def verify_linearization(flow, sys, fiber):
     """Residual of (phi_c*/p) omega_c = A_{p-1}(c)^{-1} omega_c mod p,
-    in fiber normal form; zero means the congruence holds."""
-    h, cp = pullback_coefficient(flow, sys)
+    in fiber normal form; zero means the congruence holds.  It is
+    -A_{p-1}(c)^{-1} times derive_new2_form's residual for coef A_{p-1}(c)."""
     Ac = sys.hasse_at(fiber.c1, fiber.c2)
-    residual = h - cp.const(Ac.inv())
-    nf = FiberNF(cp, sys.a_mod_p(), fiber.c1.truncate(1), fiber.c2.truncate(1))
-    return nf.nf(residual)
+    return derive_new2_form(flow, sys, fiber, coef=Ac) * -Ac.inv()
 
 
 def sphere_residual(flow, sys):

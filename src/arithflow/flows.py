@@ -77,10 +77,9 @@ def check_prime_integral(flow, H):
     Classical flows: the derivation applied to H.  Arithmetic flows:
     phi(H) - H^p, which is p times the p-derivation of H.
     """
+    H = flow.chart.elem(H)
     if isinstance(flow, FrobeniusLift):
-        return flow.phi_elem_or_poly(H) - flow.power_p(H)
-    if isinstance(H, MultiPoly):
-        return flow.apply_poly(H)
+        return flow.phi_elem(H) - H ** flow.p
     return flow.apply_elem(H)
 
 
@@ -128,10 +127,7 @@ class PoissonStructure:
         return self.chart.zero()
 
     def bracket(self, f, g):
-        if isinstance(f, MultiPoly):
-            f = self.chart.elem(f)
-        if isinstance(g, MultiPoly):
-            g = self.chart.elem(g)
+        f, g = self.chart.elem(f), self.chart.elem(g)
         out = self.chart.zero()
         for ni in self.chart.vars:
             dfi = elem_deriv(f, ni)
@@ -154,12 +150,8 @@ class PoissonStructure:
 
 def poisson_from_symplectic(frame, f, g):
     """The bracket df^dg / eta on the sphere, via the dual bivector frame."""
-    if isinstance(f, MultiPoly):
-        f = frame.chart.elem(f)
-    if isinstance(g, MultiPoly):
-        g = frame.chart.elem(g)
-    df = DiffForm.function(f).d()
-    dg = DiffForm.function(g).d()
+    df = DiffForm.function(frame.chart.elem(f)).d()
+    dg = DiffForm.function(frame.chart.elem(g)).d()
     return frame.contract_2form(df.wedge(dg))
 
 
@@ -179,16 +171,6 @@ class FrobeniusLift(Flow):
     def __init__(self, chart, p, images):
         super().__init__(chart, images)
         self.p = p
-
-    def phi_elem_or_poly(self, f):
-        if isinstance(f, MultiPoly):
-            return self.phi_poly(f)
-        return self.phi_elem(f)
-
-    def power_p(self, f):
-        if isinstance(f, MultiPoly):
-            return self.chart.elem(f ** self.p)
-        return f ** self.p
 
 
 class ArithmeticFlow(FrobeniusLift):
@@ -369,8 +351,7 @@ def el_defect(flow, lagrangian, base="x", prolonged="x'"):
     """delta(dL/dx') - dL/dx for a canonical flow on the (x, x') chart."""
     if not is_canonical_flow(flow, [(base, prolonged)]):
         raise ValueError("Euler-Lagrange residual needs a canonical flow")
-    if isinstance(lagrangian, MultiPoly):
-        lagrangian = flow.chart.elem(lagrangian)
+    lagrangian = flow.chart.elem(lagrangian)
     dLdxp = elem_deriv(lagrangian, prolonged)
     dLdx = elem_deriv(lagrangian, base)
     return flow.apply_elem(dLdxp) - dLdx

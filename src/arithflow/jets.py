@@ -92,26 +92,19 @@ def jet_of_point(P, n, flavor="classical", p=None):
         nxt = {}
         for v, val in current.items():
             if flavor == "classical":
-                dv = 0 * val if not isinstance(val, int) else 0
+                dv = 0 * val
             elif isinstance(val, TruncatedPadic):
                 dv = delta_base(val)
+            elif p is None:
+                raise ValueError("arithmetic jets of integers need a prime")
             else:
-                if p is None:
-                    raise ValueError("arithmetic jets of integers need a prime")
                 dv = (val - val ** p) // p
             nxt[prime_name(v)] = dv
         coords.update(nxt)
-        current = {name: val for name, val in nxt.items()}
+        current = nxt
     return coords
 
 
 def is_solution(relations, point):
     """True iff every relation vanishes at the point (at carried precision)."""
-    for rel in relations:
-        val = rel.eval(point)
-        if isinstance(val, TruncatedPadic):
-            if not val.is_zero():
-                return False
-        elif val != 0:
-            return False
-    return True
+    return all(rel.eval(point) == 0 for rel in relations)

@@ -197,18 +197,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed and n:
-                base = base * base
-        return result
+        return _power(self, n, MultiPoly.const(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, TruncatedPadic)):
@@ -331,6 +320,20 @@ class MultiPoly:
     __repr__ = __str__
 
 
+def _power(base, n, one):
+    """base ** n by square and multiply, starting from one."""
+    if n < 0:
+        raise ValueError("negative power of %s" % type(base).__name__)
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 def _coeff_is_zero(c):
     if isinstance(c, TruncatedPadic):
         return c.val == 0
@@ -431,11 +434,14 @@ class Chart:
                             (0,) * self.nfac)
 
     def elem(self, num, den=None):
-        if isinstance(num, MultiPoly):
-            pass
-        elif isinstance(num, str):
+        """num as a chart element; one of this chart is returned unchanged."""
+        if isinstance(num, ChartElement):
+            if num.chart is not self:
+                raise ValueError("chart mismatch")
+            return num
+        if isinstance(num, str):
             num = MultiPoly.var(num)
-        else:
+        elif not isinstance(num, MultiPoly):
             num = MultiPoly.const(num)
         if den is None:
             den = (0,) * self.nfac
@@ -445,20 +451,6 @@ class Chart:
         if name not in self.vars:
             raise ValueError("%r is not a chart variable" % name)
         return self.elem(MultiPoly.var(name))
-
-    def q_poly(self):
-        """The product of all denominator factors."""
-        out = MultiPoly.const(1)
-        for f in self.factors:
-            out = out * f
-        return out
-
-    def den_poly(self, den):
-        out = MultiPoly.const(1)
-        for f, k in zip(self.factors, den):
-            if k:
-                out = out * f ** k
-        return out
 
     def reduce_mod_p(self):
         """The same chart with coefficients reduced to F_p (Zp rings only)."""
@@ -491,14 +483,10 @@ class ChartElement:
 
     def _align(self, other):
         if isinstance(other, (int, Fraction, TruncatedPadic)):
-            other = self.chart.const(other) if isinstance(other, int) \
-                else ChartElement(self.chart, MultiPoly.const(other),
-                                  (0,) * self.chart.nfac)
-        if not isinstance(other, ChartElement):
-            return None
-        if other.chart is not self.chart:
-            raise ValueError("chart mismatch")
-        return other
+            return self.chart.const(other)
+        if isinstance(other, ChartElement):
+            return self.chart.elem(other)
+        return None
 
     def _common(self, o):
         """Both numerators over the least common denominator."""
@@ -545,17 +533,7 @@ class ChartElement:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a chart element")
-        result = self.chart.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, self.chart.one())
 
     def div_factor(self, index, k=1):
         den = list(self.den)

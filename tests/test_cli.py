@@ -224,3 +224,48 @@ def test_euler_verify_ends_in_bounded_time_with_a_documented_code(p, prec, a, c)
     if rc == 2 and not usage_error:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["euler", "verify", "--p", ",", "--prec", "2"],
+    ["selftest", "--p", ","],
+    ["lax", "verify", "--p", ","],
+    ["selftest", "--checks", ","],
+])
+def test_empty_list_is_a_usage_error(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "at least one" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("text", ["p=", "p = ,", "checks=", "checks = , "])
+def test_config_file_empty_list_is_a_usage_error(text, tmp_path, capsys):
+    with pytest.raises(cli.ConfigError):
+        cli.parse_config(text)
+    cfile = tmp_path / "run.cfg"
+    cfile.write_text(text + "\n")
+    assert cli.main(["selftest", "--config", str(cfile)]) == 2
+    assert "at least one" in _one_line_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hasse", "--p", "211", "--a", "1,2,4"],
+    ["ap", "--p", "10007", "--a", "1,2,4", "--c", "1,2"],
+])
+def test_hasse_and_ap_reject_p_above_their_cap(argv, capsys):
+    t0 = time.time()
+    assert cli.main(argv) == 2
+    assert time.time() - t0 < 1.0
+    assert "takes p <=" in _one_line_error(capsys)
+
+
+def test_euler_fibre_witness_is_bounded(monkeypatch, capsys):
+    # without the gauge step the fibre congruences fail, and each residual
+    # would otherwise be printed in full (about 4 kB at p = 5)
+    monkeypatch.setattr(cli.eu, "gauge_adjust", lambda flow, sys: flow)
+    rc = cli.main(["euler", "verify", "--p", "5", "--prec", "2",
+                   "--samples", "2", "--seed", "1"])
+    assert rc == 1
+    residual = json.loads(capsys.readouterr().out)["checks"][0]["residual"]
+    pieces = residual.split("; ")
+    assert pieces and all(len(piece) <= 240 for piece in pieces)
+    assert any(piece.endswith("...") for piece in pieces)
