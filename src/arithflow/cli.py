@@ -204,8 +204,11 @@ def _check_lax_classical(cfg, rng):
 
 
 def _check_euler(cfg, rng):
-    for p in cfg.primes:
-        av = cfg.a if cfg.a is not None else _distinct_triple(rng, p)
+    # draw every a before sampling any sphere, so that the systems checked do
+    # not depend on how the fibers and spheres are sampled
+    avs = [cfg.a if cfg.a is not None else _distinct_triple(rng, p)
+           for p in cfg.primes]
+    for p, av in zip(cfg.primes, avs):
         sysm = eu.EulerSystem(p, cfg.prec, av)
         flow = eu.build_flow(sysm)
         flow = eu.gauge_adjust(flow, sysm)
@@ -218,20 +221,23 @@ def _check_euler(cfg, rng):
                     p, _witness(r))
         elif not flow._builder.residuals_zero():
             return "fail", "p=%d: prime integral residual nonzero" % p
+        # every admissible fiber, or the one asked for: each is a cheap
+        # specialisation of the flow's symbolic fiber normal forms.  With no
+        # admissible fiber the sphere sampler below raises NoAdmissibleFiber.
+        cs = [cfg.c] if cfg.c is not None else eu.admissible_fibers(sysm)
         bad = []
-        for k in range(max(3, cfg.samples // 2)):
-            if cfg.c is not None:
-                fiber = eu.AdmissibleFiber(sysm, cfg.c[0], cfg.c[1])
-            else:
-                fiber = eu.sample_admissible_fiber(sysm, rng)
+        for r1, r2 in cs:
+            fiber = eu.AdmissibleFiber(sysm, r1, r2)
             c = (fiber.c1.val % p, fiber.c2.val % p)
-            r = eu.verify_linearization(flow, sysm, fiber)
-            if not r.is_zero():
-                bad.append("p=%d c=(%d,%d): %s" % (p, *c, _witness(r)))
-            r2 = eu.derive_new2_form(flow, sysm, fiber)
-            if not r2.is_zero():
-                bad.append("p=%d c=(%d,%d) pulled form: %s"
-                           % (p, *c, _witness(r2)))
+            _, ap = eu.count_points_and_ap(p, av, c)
+            for label, r in (
+                    ("", eu.verify_linearization(flow, sysm, fiber)),
+                    (" trace form", eu.derive_new2_form(
+                        flow, sysm, fiber, coef=sysm.ring.from_int(ap)))):
+                if not r.is_zero():
+                    bad.append("p=%d c=(%d,%d)%s: %s" % (p, *c, label, _witness(r)))
+            if bad:
+                break
         for k in range(3):
             fiber = eu.sample_admissible_fiber(sysm, rng, need_c2_unit=True)
             r = eu.verify_new1(flow, sysm, fiber.c2)
@@ -398,6 +404,13 @@ def _build_config(args):
 # with CPython 3.11.7
 _P_CAP = {"hasse": 101, "ap": 2003}
 
+# the largest p and prec of the euler check, whose flow construction grows
+# steeply with both (--p 41 --prec 2 and --p 5 --prec 12 ran past 20 s).  At
+# the caps the check took 1.9-3.5 s at p = 17 over four a triples and 5.6 s
+# with --p 5,7,11,13,17; one step past them, 5.5 s at p = 19 alone and
+# 8.6 s with --p 5,7,11,13 --prec 4 (2-core Xeon, CPython 3.11.7)
+_EULER_CAP = {"p": 17, "prec": 3}
+
 
 def _curve_args(args):
     """(p, a, c) of the hasse and ap subcommands, checked like config
@@ -412,6 +425,11 @@ def _curve_args(args):
     p, cap = cfg.primes[0], _P_CAP[args.command]
     if p > cap:
         raise ConfigError("%s takes p <= %d, got %d" % (args.command, cap, p))
+    # hasse expands F^{(p-1)/2} over the integers, so its time grows with the
+    # size of the a_i as well; the Hasse invariant is a mod-p object, and at
+    # p = 101 a = 10^30,2,4 took 11.7 s against 0.83 s for a = 1,2,4
+    if args.command == "hasse" and any(abs(ai) >= p for ai in cfg.a):
+        raise ConfigError("hasse takes |a_i| < p = %d" % p)
     return p, cfg.a, cfg.c
 
 
@@ -478,6 +496,11 @@ def _dispatch(args):
         checks = SUITES[args.command][1]
         if checks is not None:
             cfg.checks = list(checks)
+        if "euler" in cfg.checks:
+            for key, value in (("p", max(cfg.primes)), ("prec", cfg.prec)):
+                if value > _EULER_CAP[key]:
+                    raise ConfigError("the euler check takes %s <= %d, got %d"
+                                      % (key, _EULER_CAP[key], value))
         return _emit(run(cfg), cfg)
     if args.command == "hasse":
         p, a, _ = _curve_args(args)

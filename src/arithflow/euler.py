@@ -343,10 +343,56 @@ def pullback_coefficient(flow, sys):
     return flow._pullback_cache
 
 
+def _fibre_normal_forms(flow, sys):
+    """(forms, den, cp): the fiber normal forms of the denominator product
+    prod f_i^{den_i} and of the numerator of h, with c kept as the symbols
+    z1, z2.  One FiberNF computes both, once per flow; the result is cached
+    on the flow."""
+    cached = getattr(flow, "_fibre_nf_cache", None)
+    if cached is not None:
+        return cached
+    h, cp = pullback_coefficient(flow, sys)
+    one = cp.ring.from_int(1)
+    nf = FiberNF(cp, sys.a_mod_p(), MultiPoly.var("z1", one),
+                 MultiPoly.var("z2", one))
+    # the normal form of a product is that of the product of the factors'
+    # normal forms, so reduce factor by factor: at p = 11 reducing the
+    # expanded product took 0.17 s, this 0.005 s
+    den_nf = MultiPoly.const(one)
+    for f, k in zip(cp.factors, h.den):
+        if k:
+            den_nf = nf.nf_poly(den_nf * nf.nf_poly(f) ** k)
+    flow._fibre_nf_cache = ((den_nf, nf.nf_poly(h.num)), h.den, cp)
+    return flow._fibre_nf_cache
+
+
+def _specialise(form, c1, c2, scale, acc, p):
+    """Add scale times the symbolic form at z = (c1, c2) into acc, a dict
+    from x-keys to ints: a partial evaluation in plain F_p ints."""
+    for key, c in form.terms.items():
+        z = dict(key)
+        w = pow(c1, z.get("z1", 0), p) * pow(c2, z.get("z2", 0), p)
+        xkey = tuple(t for t in key if t[0] not in ("z1", "z2"))
+        acc[xkey] = acc.get(xkey, 0) + scale * w * c.val
+
+
+def linearization_identity(flow, sys):
+    """NF(den) - A_{p-1}(z1, z2) NF(num) over den, from the per-flow symbolic
+    fiber normal forms (see _fibre_normal_forms).
+
+    It is zero iff h A_{p-1}(H1, H2) = 1 on the whole mod-p chart, that is
+    iff the linearization congruence holds on every fiber at once: the
+    normal form with symbolic c is unique, and z = (H1, H2) undoes it."""
+    (den_nf, num_nf), den, cp = _fibre_normal_forms(flow, sys)
+    A = reduce_poly_mod_p(sys.A_z, cp.ring)
+    return ChartElement(cp, den_nf - A * num_nf, den)
+
+
 def verify_linearization(flow, sys, fiber):
     """Residual of (phi_c*/p) omega_c = A_{p-1}(c)^{-1} omega_c mod p,
     in fiber normal form; zero means the congruence holds.  It is
-    -A_{p-1}(c)^{-1} times derive_new2_form's residual for coef A_{p-1}(c)."""
+    -A_{p-1}(c)^{-1} times derive_new2_form's residual for coef A_{p-1}(c),
+    so it too is a specialisation of the per-flow symbolic normal forms."""
     Ac = sys.hasse_at(fiber.c1, fiber.c2)
     return derive_new2_form(flow, sys, fiber, coef=Ac) * -Ac.inv()
 
@@ -411,13 +457,19 @@ def derive_new2_form(flow, sys, fiber, coef=None):
     """Residual of -coef (phi_c*/p) omega_c + omega_c mod p on the fiber.
 
     coef defaults to A_{p-1}(c); passing the integer a_p instead must give
-    the same vanishing by the trace congruence."""
-    h, cp = pullback_coefficient(flow, sys)
+    the same vanishing by the trace congruence.  The residual is the normal
+    form of 1 - coef h, over h's den: by linearity, NF(den) - coef NF(num)
+    with the per-flow symbolic forms set at z = c."""
+    (den_nf, num_nf), den, cp = _fibre_normal_forms(flow, sys)
+    gf, p = cp.ring, sys.p
     if coef is None:
         coef = sys.hasse_at(fiber.c1, fiber.c2)
-    residual = cp.one() - h * coef
-    nf = FiberNF(cp, sys.a_mod_p(), fiber.c1.truncate(1), fiber.c2.truncate(1))
-    return nf.nf(residual)
+    c1, c2 = fiber.c1.val % p, fiber.c2.val % p
+    acc = {}
+    _specialise(den_nf, c1, c2, 1, acc, p)
+    _specialise(num_nf, c1, c2, -(gf.from_int(1) * coef).val, acc, p)
+    num = MultiPoly._raw({k: gf.from_int(v) for k, v in acc.items() if v % p})
+    return ChartElement(cp, num, den)
 
 
 # ---------------------------------------------------------------------------

@@ -599,8 +599,8 @@ class SphereNF:
         self.chart = chart
         self.c2 = c2
         one = chart.ring.from_int(1)
-        self.sub = (MultiPoly.const(c2)
-                    - MultiPoly.monomial(one, x2=2) - MultiPoly.monomial(one, x3=2))
+        self.sub = (-MultiPoly.monomial(one, x2=2) - MultiPoly.monomial(one, x3=2)
+                    + c2)
         self._check_factors()
 
     def _check_factors(self):
@@ -636,6 +636,13 @@ class FiberNF(SphereNF):
     the other variable back, so each pass lowers its degree directly, without
     expanding through high x2-degrees.  Representatives live in
     k[x3]{1, x1, x2, x1 x2}, which is free over k[x3], so they are unique.
+
+    c1 and c2 are scalars, or polynomials in variables off the chart, such as
+    symbols z1, z2.  With symbols the normal form lies in
+    k[z1, z2, x3]{1, x1, x2, x1 x2}: k[x1, x2, x3] is free over
+    k[H1, H2, x3] on that basis, so it is unique too, and setting z = c in it
+    gives the normal form at the scalars c, since every rewrite commutes with
+    that substitution.
     """
 
     def __init__(self, chart, a, c1, c2):
@@ -645,10 +652,10 @@ class FiberNF(SphereNF):
         if not ring.is_unit(d):
             raise ChartError("a2 - a1 must be a unit for the fiber normal form")
         dinv = ring.inv(d)
-        self.sub2 = (MultiPoly.const((c1 - a1 * c2) * dinv)
-                     - MultiPoly.monomial((a3 - a1) * dinv, x3=2))
-        self.sub1 = (MultiPoly.const(c2)
-                     - MultiPoly.monomial(ring.from_int(1), x3=2) - self.sub2)
+        # polynomial first, so a scalar or a polynomial c is added alike
+        self.sub2 = (MultiPoly.monomial(-(a3 - a1) * dinv, x3=2)
+                     + (c1 - a1 * c2) * dinv)
+        self.sub1 = -MultiPoly.monomial(ring.from_int(1), x3=2) - self.sub2 + c2
         SphereNF.__init__(self, chart, c2)
 
     def _rules(self):

@@ -2,13 +2,14 @@
 
 import io
 import json
+import re
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithflow import cli
+from arithflow import cli, euler as eu
 
 
 def test_parse_config_basic():
@@ -269,3 +270,47 @@ def test_euler_fibre_witness_is_bounded(monkeypatch, capsys):
     pieces = residual.split("; ")
     assert pieces and all(len(piece) <= 240 for piece in pieces)
     assert any(piece.endswith("...") for piece in pieces)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["euler", "verify", "--p", "41", "--prec", "2"], "takes p <= 17"),
+    (["euler", "verify", "--p", "5", "--prec", "12"], "takes prec <= 3"),
+    (["hasse", "--p", "101", "--a", "1000000000000000000000000000000,2,4"],
+     "takes |a_i| < p"),
+])
+def test_euler_and_hasse_reject_inputs_above_their_caps(argv, message, capsys):
+    t0 = time.time()
+    assert cli.main(argv) == 2
+    assert time.time() - t0 < 1.0
+    assert message in _one_line_error(capsys)
+
+
+def test_euler_checks_every_admissible_fibre(monkeypatch, capsys):
+    seen = set()
+    derive = cli.eu.derive_new2_form
+
+    def spy(flow, sysm, fiber, coef=None):
+        seen.add((fiber.c1.val % sysm.p, fiber.c2.val % sysm.p))
+        return derive(flow, sysm, fiber, coef)
+
+    monkeypatch.setattr(cli.eu, "derive_new2_form", spy)
+    assert cli.main(["euler", "verify", "--p", "5", "--prec", "2",
+                     "--a", "1,2,4"]) == 0
+    assert seen == set(eu.admissible_fibers(eu.EulerSystem(5, 2, (1, 2, 4))))
+    seen.clear()
+    assert cli.main(["euler", "verify", "--p", "5", "--prec", "2",
+                     "--a", "1,2,4", "--c", "4,3"]) == 0
+    assert seen == {(4, 3)}
+
+
+def test_euler_witness_names_the_first_failing_fibre(monkeypatch, capsys):
+    # without the gauge step the linearization congruence fails on every
+    # admissible fiber, so the first failing one is the first admissible one
+    monkeypatch.setattr(cli.eu, "gauge_adjust", lambda flow, sys: flow)
+    first = eu.admissible_fibers(eu.EulerSystem(5, 2, (1, 2, 4)))[0]
+    for extra, c in (([], first), (["--c", "4,3"], (4, 3))):
+        assert cli.main(["euler", "verify", "--p", "5", "--prec", "2",
+                         "--a", "1,2,4"] + extra) == 1
+        residual = json.loads(capsys.readouterr().out)["checks"][0]["residual"]
+        named = re.findall(r"c=\((\d+),(\d+)\)", residual)
+        assert named and {tuple(map(int, n)) for n in named} == {c}

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from arithflow.padic import TruncatedPadic, teichmuller
-from arithflow.poly import MultiPoly, ChartError, parse_poly
+from arithflow.poly import MultiPoly, ChartError, FiberNF, parse_poly
 from arithflow.flows import ArithmeticFlow, check_prime_integral
 from arithflow import euler as eu
 
@@ -271,6 +271,49 @@ def test_new2_form(sys5, flow5):
     gf = sys5.chart.reduce_mod_p().ring
     assert eu.derive_new2_form(flow5, sys5, fiber,
                                coef=gf.from_int(ap)).is_zero()
+
+
+@pytest.fixture(scope="module", params=(5, 7, 11))
+def flow_pair(request):
+    """A system, its gauged flow, and that flow with x3 image + x3, which
+    breaks the prime integrals and both fiber congruences."""
+    p = request.param
+    sysm = eu.EulerSystem(p, 3, random.Random(1).sample(range(1, p), 3))
+    good = eu.gauge_adjust(eu.build_flow(sysm), sysm)
+    x3img = good.images["x3"] + sysm.chart.var("x3")
+    return sysm, good, ArithmeticFlow(sysm.chart, dict(good.images, x3=x3img))
+
+
+def test_linearization_identity(flow_pair):
+    sysm, good, perturbed = flow_pair
+    assert eu.linearization_identity(good, sysm).is_zero()
+    assert not eu.linearization_identity(perturbed, sysm).is_zero()
+
+
+def _exact(elem):
+    return ({k: (c.p, c.prec, c.val) for k, c in elem.num.terms.items()},
+            elem.den)
+
+
+def test_specialised_residual_matches_per_fibre_normal_form(flow_pair):
+    # the reference reduces 1 - coef h with a FiberNF at each fiber's scalars
+    sysm, good, perturbed = flow_pair
+    p, a = sysm.p, [x.val for x in sysm.a]
+    nonzero = 0
+    for flow in (good, perturbed):
+        h, cp = eu.pullback_coefficient(flow, sysm)
+        for r1, r2 in eu.admissible_fibers(sysm):
+            fiber = eu.AdmissibleFiber(sysm, r1, r2)
+            nf = FiberNF(cp, sysm.a_mod_p(), fiber.c1.truncate(1),
+                         fiber.c2.truncate(1))
+            _, ap = eu.count_points_and_ap(p, a, (r1, r2))
+            for coef in (sysm.hasse_at(fiber.c1, fiber.c2), cp.ring.from_int(ap)):
+                got = eu.derive_new2_form(flow, sysm, fiber, coef=coef)
+                want = nf.nf(cp.one() - h * coef)
+                assert got.chart is cp
+                assert _exact(got) == _exact(want), (p, r1, r2)
+                nonzero += not got.is_zero()
+    assert nonzero == 2 * len(eu.admissible_fibers(sysm))
 
 
 def test_point_count_examples():
