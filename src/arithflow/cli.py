@@ -439,7 +439,10 @@ def _add_common(sp):
     sp.add_argument("--prec", type=int, help="working precision (digits)")
     sp.add_argument("--a", help="Euler parameters a1,a2,a3")
     sp.add_argument("--c", help="fiber point c1,c2")
-    sp.add_argument("--samples", type=int, help="samples per check")
+    sp.add_argument("--samples", type=int, help=(
+        "draws per sampled check, with a floor: padic and ap draw at least "
+        "20, lax and spectrum at least 10; the other checks ignore it (euler "
+        "checks every admissible fiber and 3 spheres)"))
     sp.add_argument("--seed", type=int, help="master RNG seed")
     sp.add_argument("--out", help="write the JSON report here")
     sp.add_argument("--checks", help="comma-separated check subset")

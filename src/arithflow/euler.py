@@ -193,7 +193,9 @@ def sample_admissible_fiber(sys, rng, need_c2_unit=False):
 class FlowBuilder:
     """Maintains the flow images and the prime-integral residuals
     R_j = phi(H_j) - H_j^p incrementally (H_j are quadratic, so an update
-    u += D changes R_j by 2p sum m_ji phi(x_i) D_i + p^2 sum m_ji D_i^2)."""
+    u += D changes R_j by 2p sum m_ji phi(x_i) D_i + p^2 sum m_ji D_i^2).
+    apply_increment forms each product phi(x_i) D_i and D_i^2 once, for
+    both rows j."""
 
     def __init__(self, sys):
         self.sys = sys
@@ -211,15 +213,16 @@ class FlowBuilder:
         """u += delta, where delta = p^p_order * (unit-level data)."""
         sys = self.sys
         p = sys.p
+        products = []
+        for i, d in enumerate(delta):
+            if not d.is_zero():
+                products.append((i, self.phi_x[i] * d * (2 * p)))
+                if 2 * p_order + 2 < sys.prec:
+                    products.append((i, d * d * (p * p)))
         for j, w in enumerate(self.weights):
             upd = sys.chart.zero()
-            for i, wi in enumerate(w):
-                d = delta[i]
-                if d.is_zero():
-                    continue
-                upd = upd + self.phi_x[i] * d * (2 * p) * wi
-                if 2 * p_order + 2 < sys.prec:
-                    upd = upd + d * d * (p * p) * wi
+            for i, prod in products:
+                upd = upd + prod * w[i]
             self.R[j] = self.R[j] + upd
         for i, name in enumerate(sys.chart.vars):
             if not delta[i].is_zero():

@@ -10,12 +10,14 @@ sorted union of the operands' variables (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007), multiplies plain-int or Fraction coefficients into one accumulator and
 reduces each result coefficient once, then unpacks the nonzero results to the
-key format above.  If either operand has TruncatedPadic coefficients, all of
-them must share one p, and the product lies in Z/p^N with N the least
-precision among them; int coefficients are exact and are taken to that
-precision.  So an int coefficient next to TruncatedPadic ones yields
-TruncatedPadic results, and mixed precisions truncate to the minimum, the
-rule TruncatedPadic arithmetic already follows.
+key format above.  A square sums each unordered pair of terms once, and a
+one-term operand only shifts the other's keys.  On every path, if either
+operand has TruncatedPadic coefficients, all of them must share one p, and
+the product lies in Z/p^N with N the least precision among them; int
+coefficients are exact and are taken to that precision.  So an int
+coefficient next to TruncatedPadic ones yields TruncatedPadic results, and
+mixed precisions truncate to the minimum, the rule TruncatedPadic arithmetic
+already follows.
 
 A Chart declares an ordered variable list and a list of denominator factors
 that are units on the chart; a ChartElement is numerator / prod(factor_i ^
@@ -346,38 +348,75 @@ def _mul_terms(t1, t2):
     Variable i of the sorted union owns bits [i*w, (i+1)*w) of a packed key,
     with w the bit length of the sum of the operands' maximum exponents, so
     no exponent of the product overflows its field and adding two packed
-    keys multiplies the monomials."""
+    keys multiplies the monomials.  A square (t1 is t2) packs once and
+    accumulates each unordered pair once, the off-diagonal ones doubled; a
+    one-term operand shifts the other's keys by its monomial, with no
+    packing.  Every path takes its coefficient rule from _coefficient_rule,
+    so all give the same result as the double loop over packed pairs."""
+    value, nonzero = _coefficient_rule(t1, t2)
+    if len(t2) == 1:
+        t1, t2 = t2, t1
+    if len(t1) == 1:
+        ((mono, c1),) = t1.items()
+        c1 = value(c1)
+        return dict(nonzero((_shift_key(k, mono) if mono else k, c1 * value(c))
+                            for k, c in t2.items()))
     names = set()
     width = (_max_exponent(t1, names) + _max_exponent(t2, names)).bit_length()
     fields = [(name, i * width) for i, name in enumerate(sorted(names))]
     shift = dict(fields)
     mask = (1 << width) - 1
-    padics = [c for c in (*t1.values(), *t2.values())
-              if isinstance(c, TruncatedPadic)]
-    if padics:
-        p = padics[0].p
-        for c in padics:
-            if c.p != p:
-                raise ValueError("prime mismatch: %d vs %d" % (p, c.p))
-        prec = min(c.prec for c in padics)
-    value = _residue if padics else (lambda c: c)
-    left, right = ([(sum(e << shift[name] for name, e in key), value(c))
-                    for key, c in terms.items()] for terms in (t1, t2))
+
+    def pack(terms):
+        return [(sum(e << shift[name] for name, e in key), value(c))
+                for key, c in terms.items()]
+
+    left = pack(t1)
+    square = t1 is t2
+    right = left if square else pack(t2)
     acc = {}
-    for k1, c1 in left:
+    for i, (k1, c1) in enumerate(left):
+        if square:
+            acc[k1 + k1] = acc.get(k1 + k1, 0) + c1 * c1
+            c1 *= 2
+            right = left[i + 1:]
         for k2, c2 in right:
             k = k1 + k2
             if k in acc:
                 acc[k] += c1 * c2
             else:
                 acc[k] = c1 * c2
-    if padics:
-        m, make = p ** prec, TruncatedPadic._make
-        nonzero = ((k, make(p, prec, c % m)) for k, c in acc.items() if c % m)
-    else:
-        nonzero = ((k, c) for k, c in acc.items() if c)
     return {tuple([(name, e) for name, s in fields if (e := (k >> s) & mask)]): c
-            for k, c in nonzero}
+            for k, c in nonzero(acc.items())}
+
+
+def _coefficient_rule(t1, t2):
+    """(value, nonzero) for the product of t1 and t2: value turns a
+    coefficient into the plain int or Fraction that is multiplied, nonzero
+    turns (key, product sum) pairs into (key, result coefficient) pairs,
+    dropping zeros.  With TruncatedPadic coefficients in either operand they
+    must share one p (else ValueError) and the results lie in Z/p^N, N the
+    least precision among them; int coefficients are exact and take N."""
+    padics = [c for c in (*t1.values(), *t2.values())
+              if isinstance(c, TruncatedPadic)]
+    if not padics:
+        return (lambda c: c), (lambda pairs: ((k, c) for k, c in pairs if c))
+    p = padics[0].p
+    for c in padics:
+        if c.p != p:
+            raise ValueError("prime mismatch: %d vs %d" % (p, c.p))
+    prec = min(c.prec for c in padics)
+    m, make = p ** prec, TruncatedPadic._make
+    return _residue, (lambda pairs: ((k, make(p, prec, r))
+                                     for k, c in pairs if (r := c % m)))
+
+
+def _shift_key(key, mono):
+    """The key of the product of the monomials key and mono."""
+    d = dict(key)
+    for name, e in mono:
+        d[name] = d.get(name, 0) + e
+    return tuple(sorted(d.items()))
 
 
 def _max_exponent(terms, names):

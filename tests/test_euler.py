@@ -335,3 +335,30 @@ def test_point_count_examples():
 def test_degenerate_quartic_rejected():
     with pytest.raises(ValueError):
         eu.count_points_and_ap(7, (1, 2, 3), (2, 1))  # c1 = a2 c2
+
+
+@pytest.mark.parametrize("p, prec, a", [(5, 3, (0, 1, 2)), (7, 3, (1, 2, 4)),
+                                        (5, 4, (1, 2, 4))])
+def test_builder_residuals_match_fresh_flows(p, prec, a, monkeypatch):
+    # the builder shares each increment product between both rows, and the
+    # CLI trusts its residuals; so after every stage and gauge step they must
+    # be the residuals of a flow with the builder's images.  a_1 = 0 at
+    # (5, 3) gives a zero weight in the H1 row
+    sysm = eu.EulerSystem(p, prec, a)
+    steps = []
+
+    def checked(method):
+        def run(b, arg):
+            method(b, arg)
+            fresh = ArithmeticFlow(sysm.chart, dict(b.u))
+            for r, H in zip(b.R, (sysm.H1, sysm.H2)):
+                assert r == check_prime_integral(fresh, H), (method.__name__, arg)
+            steps.append(method.__name__)
+        return run
+
+    for name in ("run_stage", "apply_gauge"):
+        monkeypatch.setattr(eu.FlowBuilder, name,
+                            checked(getattr(eu.FlowBuilder, name)))
+    eu.gauge_adjust(eu.build_flow(sysm), sysm)
+    assert steps == (["run_stage"] * (prec - 1) + ["apply_gauge"]
+                     + ["run_stage"] * (prec - 2))

@@ -343,6 +343,81 @@ def test_packed_product_mixed_operands_rule():
         MultiPoly._raw(f) * MultiPoly._raw({(): Fraction(1, 2)})
 
 
+def promoted(t, like):
+    """t with int coefficients taken to the ring of the first TruncatedPadic
+    in t or like: the mixed-operand rule, made explicit for the reference."""
+    padics = [c for c in (*t.values(), *like.values())
+              if isinstance(c, TruncatedPadic)]
+    if not padics:
+        return t
+    p, prec = padics[0].p, padics[0].prec
+    return {k: TruncatedPadic(p, prec, c) if isinstance(c, int) else c
+            for k, c in t.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_square_of_one_operand_matches_double_loop(pair):
+    # both operands are the same dict, as in f * f; merging the pair gives
+    # one operand of each kind, ints next to Z/p^N for the int*Zp kinds
+    t = {**pair[0], **pair[1]}
+    f = MultiPoly._raw(t)
+    want = promoted(t, t)
+    assert_same_terms((f * f).terms, reference_mul(want, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs(), st.booleans())
+def test_one_term_operand_matches_double_loop(pair, one_on_left):
+    # one term of the first dict against both merged, on either side
+    t1, t2 = pair
+    if not t1:
+        return
+    one = dict([next(iter(t1.items()))])
+    other = {**t1, **t2}
+    left, right = (one, other) if one_on_left else (other, one)
+    got = MultiPoly._raw(dict(left)) * MultiPoly._raw(dict(right))
+    assert_same_terms(got.terms, reference_mul(promoted(left, right),
+                                               promoted(right, left)))
+
+
+def test_one_term_and_square_edge_cases():
+    tp = TruncatedPadic
+    f = {(("x1", 2),): tp(5, 3, 7), (("x2", 1), ("x3", 4)): tp(5, 3, 10)}
+    # the constant key leaves the other keys as they are
+    got = (MultiPoly._raw({(): 3}) * MultiPoly._raw(f)).terms
+    assert_same_terms(got, {(("x1", 2),): tp(5, 3, 21),
+                            (("x2", 1), ("x3", 4)): tp(5, 3, 30)})
+    # a one-term product that vanishes mod 5^3, and one that partly does
+    assert (MultiPoly._raw({(("x2", 1),): tp(5, 3, 25)})
+            * MultiPoly._raw({(("x1", 1),): tp(5, 3, 5)})).terms == {}
+    got = (MultiPoly._raw(f) * MultiPoly._raw({(("x2", 2),): tp(5, 3, 25)})).terms
+    assert_same_terms(got, {(("x1", 2), ("x2", 2)): tp(5, 3, 50)})
+    # an int monomial takes the least precision of the other operand, and
+    # int products beside Z/p^N become Z/p^N
+    g = {(): 2, (("x2", 1),): tp(5, 3, 7), (("x3", 1),): tp(5, 2, 1)}
+    got = (MultiPoly._raw({(("x2", 1),): 3}) * MultiPoly._raw(g)).terms
+    assert_same_terms(got, {(("x2", 1),): tp(5, 2, 6),
+                            (("x2", 2),): tp(5, 2, 21),
+                            (("x2", 1), ("x3", 1)): tp(5, 2, 3)})
+    # the square of a mixed operand: off-diagonal pairs counted twice
+    h = MultiPoly._raw({(): 2, (("x1", 1),): tp(5, 3, 7)})
+    assert_same_terms((h * h).terms, {(): tp(5, 3, 4),
+                                      (("x1", 1),): tp(5, 3, 28),
+                                      (("x1", 2),): tp(5, 3, 49)})
+    # a prime mismatch raises in the square and in the one-term path
+    mixed = MultiPoly._raw({(("x1", 1),): tp(5, 3, 1), (("x2", 1),): tp(7, 3, 1)})
+    with pytest.raises(ValueError):
+        mixed * mixed
+    for one in ({(): tp(7, 3, 1)}, {(("x3", 1),): 2}):
+        with pytest.raises(ValueError):
+            MultiPoly._raw(one) * mixed
+        with pytest.raises(ValueError):
+            mixed * MultiPoly._raw(one)
+    with pytest.raises(ValueError):
+        MultiPoly._raw({(): tp(7, 3, 1)}) * MultiPoly._raw(f)
+
+
 # ---------------------------------------------------------------------------
 # sympy as an independent oracle for products and powers over ZZ
 
