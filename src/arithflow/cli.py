@@ -204,14 +204,10 @@ def _check_lax_classical(cfg, rng):
 
 
 def _check_euler(cfg, rng):
-    # draw every a before sampling any sphere, so that the systems checked do
-    # not depend on how the fibers and spheres are sampled
-    avs = [cfg.a if cfg.a is not None else _distinct_triple(rng, p)
-           for p in cfg.primes]
-    for p, av in zip(cfg.primes, avs):
+    for p in cfg.primes:
+        av = cfg.a if cfg.a is not None else _distinct_triple(rng, p)
         sysm = eu.EulerSystem(p, cfg.prec, av)
-        flow = eu.build_flow(sysm)
-        flow = eu.gauge_adjust(flow, sysm)
+        flow = eu.gauge_adjust(eu.build_flow(sysm), sysm)
         if cfg.perturb:
             x3img = flow.images["x3"] + sysm.chart.var("x3")
             flow = ArithmeticFlow(sysm.chart, dict(flow.images, x3=x3img))
@@ -219,11 +215,8 @@ def _check_euler(cfg, rng):
             if not r.is_zero():
                 return "fail", "p=%d perturbed flow: phi(H1) - H1^p = %s" % (
                     p, _witness(r))
-        elif not flow._builder.residuals_zero():
-            return "fail", "p=%d: prime integral residual nonzero" % p
         # every admissible fiber, or the one asked for: each is a cheap
-        # specialisation of the flow's symbolic fiber normal forms.  With no
-        # admissible fiber the sphere sampler below raises NoAdmissibleFiber.
+        # specialisation of the flow's symbolic fiber normal forms
         cs = [cfg.c] if cfg.c is not None else eu.admissible_fibers(sysm)
         bad = []
         for r1, r2 in cs:
@@ -238,12 +231,14 @@ def _check_euler(cfg, rng):
                     bad.append("p=%d c=(%d,%d)%s: %s" % (p, *c, label, _witness(r)))
             if bad:
                 break
-        for k in range(3):
-            fiber = eu.sample_admissible_fiber(sysm, rng, need_c2_unit=True)
-            r = eu.verify_new1(flow, sysm, fiber.c2)
-            if not r.is_zero():
-                bad.append("p=%d c2=%d sphere form: %s"
-                           % (p, fiber.c2.val % p, _witness(r)))
+        # one residual on the whole chart covers every sphere H2 = c2 with an
+        # admissible fiber; at p = 3 there is none, a precondition error
+        if not eu.admissible_fibers(sysm, need_c2_unit=True):
+            raise eu.NoAdmissibleFiber(
+                "no admissible fiber with c2 a unit at p=%d" % p)
+        r, _ = eu.sphere_residual(flow, sysm)
+        if not r.is_zero():
+            bad.append("p=%d sphere form: %s" % (p, _witness(r)))
         if bad:
             return "fail", "; ".join(bad)
     return "pass", None
@@ -404,25 +399,41 @@ def _build_config(args):
 # with CPython 3.11.7
 _P_CAP = {"hasse": 101, "ap": 2003}
 
-# the largest p and prec of the euler check, whose flow construction grows
-# steeply with both (--p 41 --prec 2 and --p 5 --prec 12 ran past 20 s).  At
-# the caps the check took 1.9-3.5 s at p = 17 over four a triples and 5.6 s
-# with --p 5,7,11,13,17; one step past them, 5.5 s at p = 19 alone and
-# 8.6 s with --p 5,7,11,13 --prec 4 (2-core Xeon, CPython 3.11.7)
-_EULER_CAP = {"p": 17, "prec": 3}
+# the largest p and prec of each check whose time grows steeply with them
+# (2-core Xeon, CPython 3.11.7, check time in one process).  euler: flow
+# construction; --p 41 --prec 2 and --p 5 --prec 12 ran past 20 s.  At the
+# caps it took 1.9-3.5 s at p = 17 over four a triples and 5.6 s with
+# --p 5,7,11,13,17; one step past, 5.5 s at p = 19 alone and 8.6 s with
+# --p 5,7,11,13 --prec 4.  lax and spectrum: linear in p and steep in prec;
+# lax verify --p 10007 took 7.5 s and --p 5 --prec 400 7.5 s.  At the caps
+# they took 1.9-2.2 s together at p = 1009 and 2.0-2.5 s with --p 997,1009;
+# past them, 2.7 s at p = 2003 and 3.9 s at prec 100.  padic: every prime at
+# prec + 1 digits; --prec 3000 took 16 s at p = 5.  At the caps it took
+# 3.1 s with all 168 odd primes up to 1009, and 14.3 s at prec 100.
+_CHECK_CAPS = {"euler": {"p": 17, "prec": 3},
+               "lax": {"p": 1009, "prec": 50},
+               "spectrum": {"p": 1009, "prec": 50},
+               "padic": {"p": 1009, "prec": 50}}
+
+
+def _one_prime(val):
+    """The single odd prime of a --p value, checked like the config option."""
+    cfg = RunConfig()
+    _apply_option(cfg, "p", val)
+    if len(cfg.primes) != 1:
+        raise ConfigError("p needs one prime")
+    return cfg.primes[0]
 
 
 def _curve_args(args):
     """(p, a, c) of the hasse and ap subcommands, checked like config
     options; c is None where the subcommand has no --c."""
-    cfg = RunConfig()
-    for key in ("p", "a", "c"):
+    p, cfg = _one_prime(args.p), RunConfig()
+    for key in ("a", "c"):
         val = getattr(args, key, None)
         if val is not None:
             _apply_option(cfg, key, val)
-    if len(cfg.primes) != 1:
-        raise ConfigError("p needs one prime")
-    p, cap = cfg.primes[0], _P_CAP[args.command]
+    cap = _P_CAP[args.command]
     if p > cap:
         raise ConfigError("%s takes p <= %d, got %d" % (args.command, cap, p))
     # hasse expands F^{(p-1)/2} over the integers, so its time grows with the
@@ -442,7 +453,7 @@ def _add_common(sp):
     sp.add_argument("--samples", type=int, help=(
         "draws per sampled check, with a floor: padic and ap draw at least "
         "20, lax and spectrum at least 10; the other checks ignore it (euler "
-        "checks every admissible fiber and 3 spheres)"))
+        "checks every admissible fiber and every sphere at once)"))
     sp.add_argument("--seed", type=int, help="master RNG seed")
     sp.add_argument("--out", help="write the JSON report here")
     sp.add_argument("--checks", help="comma-separated check subset")
@@ -499,11 +510,12 @@ def _dispatch(args):
         checks = SUITES[args.command][1]
         if checks is not None:
             cfg.checks = list(checks)
-        if "euler" in cfg.checks:
-            for key, value in (("p", max(cfg.primes)), ("prec", cfg.prec)):
-                if value > _EULER_CAP[key]:
-                    raise ConfigError("the euler check takes %s <= %d, got %d"
-                                      % (key, _EULER_CAP[key], value))
+        values = {"p": max(cfg.primes), "prec": cfg.prec}
+        for cid in cfg.checks:
+            for key, cap in _CHECK_CAPS.get(cid, {}).items():
+                if values[key] > cap:
+                    raise ConfigError("the %s check takes %s <= %d, got %d"
+                                      % (cid, key, cap, values[key]))
         return _emit(run(cfg), cfg)
     if args.command == "hasse":
         p, a, _ = _curve_args(args)
@@ -518,8 +530,10 @@ def _dispatch(args):
         print(json.dumps(out, sort_keys=True))
         return 0 if out["congruent"] else 1
     if args.command == "jet":
+        if args.order < 0:
+            raise ConfigError("order must be >= 0, got %d" % args.order)
+        p = _one_prime(args.p) if args.p is not None else None
         f = parse_poly(args.f)
-        p = int(args.p) if args.p else None
         pres = jets.prolong(f, args.order, args.flavor, p)
         for k, rel in enumerate(pres.relations):
             print("delta^%d: %s" % (k, rel))

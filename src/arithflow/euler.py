@@ -16,7 +16,6 @@ from __future__ import annotations
 from .padic import TruncatedPadic, teichmuller
 from .poly import (MultiPoly, Chart, ChartElement, Zp, FiberNF, SphereNF,
                    ChartError, reduce_poly_mod_p)
-from .forms import DiffForm, FiberFrame, phi_star_over_p
 from .flows import ArithmeticFlow, ClassicalFlow, check_prime_integral
 
 
@@ -252,10 +251,10 @@ class FlowBuilder:
         delta = [t * v for v in self.sys.kernel_vector()]
         self.apply_increment(delta, 0)
 
-    def residuals_zero(self):
-        return all(r.is_zero() for r in self.R)
-
-    def to_flow(self):
+    def to_flow(self, step):
+        """The flow of the current images; raises if step left a residual."""
+        if not all(r.is_zero() for r in self.R):
+            raise ArithmeticError("%s left phi(H) != H^p" % step)
         flow = ArithmeticFlow(self.sys.chart, dict(self.u))
         flow._builder = self
         return flow
@@ -273,9 +272,7 @@ def build_flow(sys):
     b = FlowBuilder(sys)
     for s in range(sys.prec - 1):
         b.run_stage(s)
-    if not b.residuals_zero():
-        raise ArithmeticError("staged solve failed to kill the residuals")
-    return b.to_flow()
+    return b.to_flow("the staged solve")
 
 
 def gauge_target_u3(sys):
@@ -314,35 +311,27 @@ def gauge_adjust(flow, sys):
     b.apply_gauge(t)
     for s in range(1, sys.prec - 1):
         b.run_stage(s)
-    if not b.residuals_zero():
-        raise ArithmeticError("gauge adjustment broke the prime integrals")
-    return b.to_flow()
+    return b.to_flow("the gauge adjustment")
 
 
 # ---------------------------------------------------------------------------
 # fiber verifications (all mod p)
 
-def omega_rep(chart, ab):
-    """dx3 / ((a1 - a2) x1 x2): the chart representative of the fiber 1-form
-    (contraction with the tangent vector gives 1)."""
-    coeff = ChartElement(chart, MultiPoly.const((ab[0] - ab[1]).inv()),
-                         (1, 1) + (0,) * (chart.nfac - 2))
-    return DiffForm(chart, 1, {(2,): coeff})
-
-
 def pullback_coefficient(flow, sys):
-    """<(phi*/p) omega, v> on the mod-p chart, before normal form.
-
-    The result does not depend on the fiber, so it is cached on the flow."""
+    """h = <(phi*/p) omega, v> mod p, before normal form, for the fiber
+    1-form omega = dx3 / ((a1 - a2) x1 x2) (<omega, v> = 1).  In closed form
+    h = (x1 x2 x3^{p-1} + v(u3)/(a1 - a2)) / (x1 x2)^p, with u3 the mod-p x3
+    image: phi(x1 x2) = (x1 x2)^p and (phi*/p) dx3 = x3^{p-1} dx3 + du3 mod
+    p.  It does not depend on the fiber, so it is cached on the flow."""
     cached = getattr(flow, "_pullback_cache", None)
     if cached is not None:
         return cached
-    fp = flow.reduce_mod_p()
-    cp = fp.chart
-    ab = sys.a_mod_p()
-    pulled = phi_star_over_p(omega_rep(cp, ab), fp)
-    frame = FiberFrame(cp, ab)
-    flow._pullback_cache = (frame.contract_1form(pulled), cp)
+    p, ab = sys.p, sys.a_mod_p()
+    cp = sys.chart.reduce_mod_p()
+    lead = cp.elem(MultiPoly.monomial(cp.ring.from_int(1), x1=1, x2=1, x3=p - 1))
+    vu3 = classical_euler_flow(cp, ab).apply_elem(flow.image("x3").reduce_mod_p())
+    h = (lead + vu3 * (ab[0] - ab[1]).inv()).div_factor(0, p).div_factor(1, p)
+    flow._pullback_cache = (h, cp)
     return flow._pullback_cache
 
 
@@ -400,37 +389,44 @@ def verify_linearization(flow, sys, fiber):
     return derive_new2_form(flow, sys, fiber, coef=Ac) * -Ac.inv()
 
 
-def sphere_residual(flow, sys):
-    """h - H1^{p-1}/A_{p-1}(H1,H2) on the mod-p chart, before the sphere
-    normal form, where h = <(phi*/p^2) eta, pi>.
+def _require_prime_integrals(flow, sys):
+    """Raise ArithmeticError unless phi(H_j) = H_j^p exactly at the working
+    precision, for j = 1, 2; a pass is cached on the flow."""
+    if not getattr(flow, "_prime_integrals_exact", False):
+        for H in (sys.H1, sys.H2):
+            if not check_prime_integral(flow, H).is_zero():
+                raise ArithmeticError(
+                    "phi(H) != H^p: the flow's prime integrals are not exact")
+        flow._prime_integrals_exact = True
 
-    eta is taken as -1/2 dH1 ^ omega restricted to the sphere: v is the
-    Hamiltonian field of H1/2, so -dH1 ^ omega = 2 eta (the identity of
-    acceptance criterion 03).  The result does not depend on c2, so it is
-    cached on the flow."""
+
+def sphere_residual(flow, sys):
+    """H1^{p-1} (h - 1/A_{p-1}(H1,H2)) mod p, before the sphere normal form,
+    with h from pullback_coefficient; it does not depend on c2, so it is
+    cached on the flow.
+
+    This is <(phi*/p^2) eta, pi> - H1^{p-1}/A_{p-1}(H1,H2) for eta =
+    -1/2 dH1 ^ omega: v is the Hamiltonian field of H1/2 (criterion 03), so
+    <-dH1 ^ alpha, pi>/2 = <alpha, v>, and once phi(H1) = H1^p, (phi*/p) dH1
+    = H1^{p-1} dH1 mod p.  Without exact prime integrals that last step fails
+    (with the x1 image + x1 this would be zero, the pullback not), so then it
+    raises ArithmeticError."""
     cached = getattr(flow, "_sphere_cache", None)
     if cached is not None:
         return cached
-    fp = flow.reduce_mod_p()
-    cp = fp.chart
-    ab = sys.a_mod_p()
-    gf = cp.ring
-    H1p = reduce_poly_mod_p(sys.H1, gf)
-    dH1 = DiffForm.function(cp.elem(H1p)).d()
-    beta = -(dH1.wedge(omega_rep(cp, ab)))
-    pulled = phi_star_over_p(beta, fp)
-    frame = FiberFrame(cp, ab)
-    # <-dH1 ^ omega, pi> = 2 <eta, pi>, so halve to pair with eta
-    h = frame.contract_2form(pulled) * gf.from_int(2).inv()
-    lam = cp.elem(H1p ** (sys.p - 1)).div_factor(3, 1)
-    flow._sphere_cache = (h - lam, cp)
+    _require_prime_integrals(flow, sys)
+    h, cp = pullback_coefficient(flow, sys)
+    H1p = cp.elem(reduce_poly_mod_p(sys.H1, cp.ring))
+    flow._sphere_cache = (H1p ** (sys.p - 1) * (h - cp.one().div_factor(3)), cp)
     return flow._sphere_cache
 
 
 def verify_new1(flow, sys, c2):
     """Residual of (phi*/p^2) eta = (H1^{p-1}/A_{p-1}(H1,c2)) eta mod p on
     the sphere H2 = c2, in sphere normal form; only the normal form runs per
-    c2 (see sphere_residual)."""
+    c2.  It is zero on every sphere where sphere_residual is, that is where
+    h A_{p-1}(H1, H2) = 1.  Raises ArithmeticError without exact prime
+    integrals."""
     residual, cp = sphere_residual(flow, sys)
     nf = SphereNF(cp, c2.truncate(1))
     return nf.nf(residual)
@@ -440,18 +436,11 @@ def fiber_frobenius(flow, sys, fiber):
     """The induced Frobenius lift on the fiber: checks that phi preserves the
     fiber ideal and returns the mod-p coordinate images.
 
-    The check is phi(H_j) = H_j^p exactly at the working precision: phi
-    fixes coefficients and a Teichmuller c_j has c_j^p = c_j, so then
-    phi(H_j - c_j) = H_j^p - c_j^p, a multiple of H_j - c_j, on every fiber.
-    Mod p alone the test would be vacuous, since there every lift is
-    x -> x^p.  The check does not depend on the fiber, so it runs once per
-    flow and the result is cached on the flow."""
-    if not getattr(flow, "_prime_integrals_exact", False):
-        for H in (sys.H1, sys.H2):
-            if not check_prime_integral(flow, H).is_zero():
-                raise ArithmeticError(
-                    "phi does not preserve the fiber ideal: phi(H) != H^p")
-        flow._prime_integrals_exact = True
+    The check is phi(H_j) = H_j^p exactly: phi fixes coefficients and a
+    Teichmuller c_j has c_j^p = c_j, so then phi(H_j - c_j) = H_j^p - c_j^p,
+    a multiple of H_j - c_j, on every fiber.  Mod p alone the test would be
+    vacuous, since there every lift is x -> x^p."""
+    _require_prime_integrals(flow, sys)
     return {name: flow.phi_var(name).reduce_mod_p()
             for name in sys.chart.vars}
 

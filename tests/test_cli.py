@@ -277,6 +277,13 @@ def test_euler_fibre_witness_is_bounded(monkeypatch, capsys):
     (["euler", "verify", "--p", "5", "--prec", "12"], "takes prec <= 3"),
     (["hasse", "--p", "101", "--a", "1000000000000000000000000000000,2,4"],
      "takes |a_i| < p"),
+    (["lax", "verify", "--p", "100003"], "the lax check takes p <= 1009"),
+    (["lax", "verify", "--p", "5", "--prec", "400"],
+     "the lax check takes prec <= 50"),
+    (["selftest", "--checks", "spectrum", "--p", "2003"],
+     "the spectrum check takes p <= 1009"),
+    (["selftest", "--checks", "padic", "--prec", "100000"],
+     "the padic check takes prec <= 50"),
 ])
 def test_euler_and_hasse_reject_inputs_above_their_caps(argv, message, capsys):
     t0 = time.time()
@@ -314,3 +321,35 @@ def test_euler_witness_names_the_first_failing_fibre(monkeypatch, capsys):
         residual = json.loads(capsys.readouterr().out)["checks"][0]["residual"]
         named = re.findall(r"c=\((\d+),(\d+)\)", residual)
         assert named and {tuple(map(int, n)) for n in named} == {c}
+
+
+@pytest.mark.parametrize("extra, message", [
+    (["--flavor", "arithmetic", "--p", "4"], "odd prime"),
+    (["--flavor", "arithmetic", "--p", "0"], "odd prime"),
+    (["--flavor", "arithmetic", "--p", "2"], "odd prime"),
+    (["--flavor", "arithmetic", "--p", "3,5"], "p needs one prime"),
+    (["--order", "-1"], "order must be >= 0"),
+])
+def test_jet_checks_its_arguments(extra, message, capsys):
+    assert cli.main(["jet", "prolong", "--f", "x^2"] + extra) == 2
+    assert message in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_euler_checks_every_sphere_at_once(monkeypatch, capsys):
+    # one whole-chart residual replaces the sampled spheres; without the
+    # gauge step it is nonzero, and the witness names the prime only
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("the euler check sampled a sphere")
+
+    monkeypatch.setattr(cli.eu, "sample_admissible_fiber", no_sampling)
+    assert cli.main(["euler", "verify", "--p", "5,7", "--prec", "2",
+                     "--a", "1,2,4"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli.eu, "gauge_adjust", lambda flow, sys: flow)
+    assert cli.main(["euler", "verify", "--p", "5", "--prec", "2",
+                     "--a", "1,2,4"]) == 1
+    residual = json.loads(capsys.readouterr().out)["checks"][0]["residual"]
+    spheres = [piece for piece in residual.split("; ")
+               if "sphere form" in piece]
+    assert len(spheres) == 1 and spheres[0].startswith("p=5 sphere form: ")

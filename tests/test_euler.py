@@ -6,7 +6,9 @@ import random
 import pytest
 
 from arithflow.padic import TruncatedPadic, teichmuller
-from arithflow.poly import MultiPoly, ChartError, FiberNF, parse_poly
+from arithflow.poly import (MultiPoly, ChartElement, ChartError, FiberNF,
+                            parse_poly, reduce_poly_mod_p)
+from arithflow.forms import DiffForm, FiberFrame, phi_star_over_p
 from arithflow.flows import ArithmeticFlow, check_prime_integral
 from arithflow import euler as eu
 
@@ -207,6 +209,17 @@ def test_new1_shifted_lambda_shifts_residual(sys5, flow5):
     assert shifted == -cp.one()
 
 
+def test_new1_needs_exact_prime_integrals(sys5, flow5):
+    # with the x1 image + x1 the sphere residual's closed form would be zero,
+    # so verify_new1 must refuse the flow rather than pass it
+    chart = sys5.chart
+    bad = ArithmeticFlow(chart, dict(
+        flow5.images, x1=flow5.images["x1"] + chart.var("x1")))
+    c2 = teichmuller(sys5.p, eu.admissible_fibers(sys5, True)[0][1], sys5.prec)
+    with pytest.raises(ArithmeticError):
+        eu.verify_new1(bad, sys5, c2)
+
+
 def test_fiber_frobenius(sys5, flow5):
     rng = random.Random(19)
     fiber = eu.sample_admissible_fiber(sys5, rng)
@@ -314,6 +327,60 @@ def test_specialised_residual_matches_per_fibre_normal_form(flow_pair):
                 assert _exact(got) == _exact(want), (p, r1, r2)
                 nonzero += not got.is_zero()
     assert nonzero == 2 * len(eu.admissible_fibers(sysm))
+
+
+def _omega(cp, ab):
+    """dx3 / ((a1 - a2) x1 x2), the fiber 1-form: <omega, v> = 1."""
+    coeff = ChartElement(cp, MultiPoly.const((ab[0] - ab[1]).inv()),
+                         (1, 1) + (0,) * (cp.nfac - 2))
+    return DiffForm(cp, 1, {(2,): coeff})
+
+
+def _pullback_by_forms(flow, sysm):
+    """<(phi*/p) omega, v>, by pulling the 1-form back."""
+    fp, ab = flow.reduce_mod_p(), sysm.a_mod_p()
+    pulled = phi_star_over_p(_omega(fp.chart, ab), fp)
+    return FiberFrame(fp.chart, ab).contract_1form(pulled)
+
+
+def _sphere_residual_by_forms(flow, sysm):
+    """<(phi*/p^2) eta, pi> - H1^{p-1}/A_{p-1}(H1,H2) with eta = -1/2 dH1 ^
+    omega, by pulling the 2-form back."""
+    fp, ab = flow.reduce_mod_p(), sysm.a_mod_p()
+    cp = fp.chart
+    H1 = cp.elem(reduce_poly_mod_p(sysm.H1, cp.ring))
+    beta = -(DiffForm.function(H1).d().wedge(_omega(cp, ab)))
+    pulled = phi_star_over_p(beta, fp)
+    eta_pi = (FiberFrame(cp, ab).contract_2form(pulled)
+              * cp.ring.from_int(2).inv())
+    return eta_pi - (H1 ** (sysm.p - 1)).div_factor(3)
+
+
+def test_closed_forms_match_the_form_pullbacks(flow_pair):
+    # the library takes h in closed form and the sphere residual as
+    # H1^{p-1} (h - 1/A); the reference pulls the forms back
+    sysm, good, perturbed = flow_pair
+    chart = sysm.chart
+    ungauged = eu.build_flow(sysm)
+    for flow in (good, ungauged):
+        fresh = ArithmeticFlow(chart, dict(flow.images))
+        assert eu.pullback_coefficient(fresh, sysm)[0] == \
+            _pullback_by_forms(fresh, sysm)
+        assert eu.sphere_residual(fresh, sysm)[0] == \
+            _sphere_residual_by_forms(fresh, sysm)
+    assert not eu.sphere_residual(ungauged, sysm)[0].is_zero()
+    fresh = ArithmeticFlow(chart, dict(perturbed.images))
+    assert eu.pullback_coefficient(fresh, sysm)[0] == \
+        _pullback_by_forms(fresh, sysm)
+    # the x1 image + x1 leaves h as it is but breaks phi(H1) = H1^p, and with
+    # it the sphere identity: the 2-form pullback no longer matches
+    x1_perturbed = ArithmeticFlow(chart, dict(
+        good.images, x1=good.images["x1"] + chart.var("x1")))
+    assert eu.pullback_coefficient(x1_perturbed, sysm)[0] == \
+        eu.pullback_coefficient(good, sysm)[0]
+    assert not _sphere_residual_by_forms(x1_perturbed, sysm).is_zero()
+    with pytest.raises(ArithmeticError):
+        eu.sphere_residual(x1_perturbed, sysm)
 
 
 def test_point_count_examples():
