@@ -409,11 +409,21 @@ _P_CAP = {"hasse": 101, "ap": 2003}
 # they took 1.9-2.2 s together at p = 1009 and 2.0-2.5 s with --p 997,1009;
 # past them, 2.7 s at p = 2003 and 3.9 s at prec 100.  padic: every prime at
 # prec + 1 digits; --prec 3000 took 16 s at p = 5.  At the caps it took
-# 3.1 s with all 168 odd primes up to 1009, and 14.3 s at prec 100.
+# 3.1 s with all 168 odd primes up to 1009, and 14.3 s at prec 100; with the
+# Teichmuller lift as one modular power, 1.7-2.5 s and 10.8 s.
 _CHECK_CAPS = {"euler": {"p": 17, "prec": 3},
                "lax": {"p": 1009, "prec": 50},
                "spectrum": {"p": 1009, "prec": 50},
                "padic": {"p": 1009, "prec": 50}}
+
+# the largest p and order of an arithmetic jet prolongation, where each order
+# raises the previous relation to the p-th power (same machine, whole command,
+# --f x^2).  At the caps it took 1.6-1.8 s at p = 17, order 3; one step past,
+# 3.2 s at p = 19, 6.7 s at p = 5, order 4, and past 30 s at p = 7, order 4;
+# order 5 at p = 3 and order 3 at p = 1009 ran past 30 s.  The time grows
+# steeply with the relation too, which the caps do not bound: x^3+y^2+x*y
+# took 4.8 s at p = 3, order 3, and ran past 30 s at p = 5, order 3.
+_JET_CAPS = {"p": 17, "order": 3}
 
 
 def _one_prime(val):
@@ -533,6 +543,11 @@ def _dispatch(args):
         if args.order < 0:
             raise ConfigError("order must be >= 0, got %d" % args.order)
         p = _one_prime(args.p) if args.p is not None else None
+        if args.flavor == "arithmetic":
+            for key, val in (("p", p), ("order", args.order)):
+                if val is not None and val > _JET_CAPS[key]:
+                    raise ConfigError("arithmetic jet prolong takes %s <= %d, "
+                                      "got %d" % (key, _JET_CAPS[key], val))
         f = parse_poly(args.f)
         pres = jets.prolong(f, args.order, args.flavor, p)
         for k, rel in enumerate(pres.relations):

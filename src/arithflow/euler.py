@@ -209,15 +209,21 @@ class FlowBuilder:
         self.R = [check_prime_integral(start, H) for H in (sys.H1, sys.H2)]
 
     def apply_increment(self, delta, p_order):
-        """u += delta, where delta = p^p_order * (unit-level data)."""
+        """u += delta, where delta = p^p_order * (unit-level data).
+
+        The p-powers are applied before the products, as 2p phi(x_i) times
+        D_i and (p D_i)^2, so that the product kernel sees their valuations
+        in its operands and skips every pair of terms that vanishes mod
+        p^prec; scaling afterwards gives the same result from more pairs."""
         sys = self.sys
         p = sys.p
         products = []
         for i, d in enumerate(delta):
             if not d.is_zero():
-                products.append((i, self.phi_x[i] * d * (2 * p)))
+                products.append((i, self.phi_x[i] * (2 * p) * d))
                 if 2 * p_order + 2 < sys.prec:
-                    products.append((i, d * d * (p * p)))
+                    dp = d * p
+                    products.append((i, dp * dp))
         for j, w in enumerate(self.weights):
             upd = sys.chart.zero()
             for i, prod in products:

@@ -14,14 +14,36 @@ class PrecisionError(ValueError):
     """Raised when an operation needs more p-adic digits than are carried."""
 
 
+# Sorenson and Webster, "Strong pseudoprimes to twelve prime bases" (Math.
+# Comp. 2017): an odd n below _PRIME_LIMIT that is a strong probable prime to
+# every base in _PRIME_BASES is prime
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n):
+    """Whether n is prime, by deterministic Miller-Rabin on the first 13 prime
+    bases; ValueError for n >= _PRIME_LIMIT, where that test is not exact."""
+    if n >= _PRIME_LIMIT:
+        raise ValueError("primes must be below %d, got %d" % (_PRIME_LIMIT, n))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _PRIME_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -180,13 +202,12 @@ def teichmuller(p, r, prec):
     _check_prime(p)
     if not 0 <= r < p:
         raise ValueError("residue %r out of range [0, %d)" % (r, p))
+    if prec < 1:
+        raise ValueError("precision must be >= 1")
+    # r^(p^(prec-1)) is fixed by x -> x^p: the units mod p^prec form a
+    # group of order (p-1) p^(prec-1), and r^(p-1) = 1 mod p
     m = p ** prec
-    x = r
-    while True:
-        y = pow(x, p, m)
-        if y == x:
-            return TruncatedPadic._make(p, prec, x)
-        x = y
+    return TruncatedPadic._make(p, prec, pow(r, p ** (prec - 1), m))
 
 
 def is_delta_constant(a):

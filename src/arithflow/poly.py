@@ -10,14 +10,17 @@ sorted union of the operands' variables (Monagan & Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007), multiplies plain-int or Fraction coefficients into one accumulator and
 reduces each result coefficient once, then unpacks the nonzero results to the
-key format above.  A square sums each unordered pair of terms once, and a
-one-term operand only shifts the other's keys.  On every path, if either
-operand has TruncatedPadic coefficients, all of them must share one p, and
-the product lies in Z/p^N with N the least precision among them; int
-coefficients are exact and are taken to that precision.  So an int
-coefficient next to TruncatedPadic ones yields TruncatedPadic results, and
-mixed precisions truncate to the minimum, the rule TruncatedPadic arithmetic
-already follows.
+key format above.  Over Z/p^N it groups each operand's terms by the p-adic
+valuation of their coefficient and skips every pair of groups whose
+valuations add up to N or more, since those products are 0 mod p^N; so a
+caller that applies a factor of p before a product, not after, saves work.
+A square sums each unordered pair of terms once, and a one-term operand only
+shifts the other's keys.  On every path, if either operand has TruncatedPadic
+coefficients, all of them must share one p, and the product lies in Z/p^N
+with N the least precision among them; int coefficients are exact and are
+taken to that precision.  So an int coefficient next to TruncatedPadic ones
+yields TruncatedPadic results, and mixed precisions truncate to the minimum,
+the rule TruncatedPadic arithmetic already follows.
 
 A Chart declares an ordered variable list and a list of denominator factors
 that are units on the chart; a ChartElement is numerator / prod(factor_i ^
@@ -348,12 +351,18 @@ def _mul_terms(t1, t2):
     Variable i of the sorted union owns bits [i*w, (i+1)*w) of a packed key,
     with w the bit length of the sum of the operands' maximum exponents, so
     no exponent of the product overflows its field and adding two packed
-    keys multiplies the monomials.  A square (t1 is t2) packs once and
-    accumulates each unordered pair once, the off-diagonal ones doubled; a
-    one-term operand shifts the other's keys by its monomial, with no
-    packing.  Every path takes its coefficient rule from _coefficient_rule,
-    so all give the same result as the double loop over packed pairs."""
-    value, nonzero = _coefficient_rule(t1, t2)
+    keys multiplies the monomials.  Each operand's packed terms are grouped
+    in buckets by the p-adic valuation v of their coefficient, and only the
+    bucket pairs with v1 + v2 < N are multiplied, N the precision of the
+    result: the pairs skipped are exactly those whose product is 0 mod p^N.
+    Exact coefficients form one bucket that is always multiplied.  A square
+    (t1 is t2) packs once and accumulates each unordered pair once: the
+    triangle of a bucket with itself, the off-diagonal pairs and every pair
+    across two buckets doubled.  A one-term operand shifts the other's keys
+    by its monomial, with no packing.  Every path takes its coefficient rule
+    from _coefficient_rule, so all give the same result as the double loop
+    over packed pairs."""
+    value, nonzero, p, bound = _coefficient_rule(t1, t2)
     if len(t2) == 1:
         t1, t2 = t2, t1
     if len(t1) == 1:
@@ -368,39 +377,61 @@ def _mul_terms(t1, t2):
     mask = (1 << width) - 1
 
     def pack(terms):
-        return [(sum(e << shift[name] for name, e in key), value(c))
-                for key, c in terms.items()]
+        """[(v, [(packed key, value), ...]), ...] by ascending v < bound."""
+        packed = [(sum(e << shift[name] for name, e in key), value(c))
+                  for key, c in terms.items()]
+        if p is None:
+            return [(0, packed)]
+        buckets = {}
+        for k, c in packed:
+            v, r = 0, c
+            while v < bound and not r % p:
+                v, r = v + 1, r // p
+            if v < bound:
+                buckets.setdefault(v, []).append((k, c))
+        return sorted(buckets.items())
 
     left = pack(t1)
     square = t1 is t2
     right = left if square else pack(t2)
     acc = {}
-    for i, (k1, c1) in enumerate(left):
-        if square:
-            acc[k1 + k1] = acc.get(k1 + k1, 0) + c1 * c1
-            c1 *= 2
-            right = left[i + 1:]
-        for k2, c2 in right:
-            k = k1 + k2
-            if k in acc:
-                acc[k] += c1 * c2
-            else:
-                acc[k] = c1 * c2
+    for a, (v1, terms1) in enumerate(left):
+        for b in range(a if square else 0, len(right)):
+            v2, terms2 = right[b]
+            if v1 + v2 >= bound:
+                break
+            triangle = square and a == b
+            for i, (k1, c1) in enumerate(terms1):
+                if triangle:
+                    acc[k1 + k1] = acc.get(k1 + k1, 0) + c1 * c1
+                    terms2 = terms1[i + 1:]
+                if square:
+                    c1 *= 2
+                for k2, c2 in terms2:
+                    k = k1 + k2
+                    if k in acc:
+                        acc[k] += c1 * c2
+                    else:
+                        acc[k] = c1 * c2
     return {tuple([(name, e) for name, s in fields if (e := (k >> s) & mask)]): c
             for k, c in nonzero(acc.items())}
 
 
 def _coefficient_rule(t1, t2):
-    """(value, nonzero) for the product of t1 and t2: value turns a
+    """(value, nonzero, p, bound) for the product of t1 and t2: value turns a
     coefficient into the plain int or Fraction that is multiplied, nonzero
     turns (key, product sum) pairs into (key, result coefficient) pairs,
-    dropping zeros.  With TruncatedPadic coefficients in either operand they
-    must share one p (else ValueError) and the results lie in Z/p^N, N the
-    least precision among them; int coefficients are exact and take N."""
+    dropping zeros, and two values are multiplied only if their p-adic
+    valuations add up to less than bound.  With TruncatedPadic coefficients
+    in either operand they must share one p (else ValueError) and the results
+    lie in Z/p^N, N the least precision among them and the bound; int
+    coefficients are exact and take N.  Exact products have p None and bound
+    1: every value counts as valuation 0."""
     padics = [c for c in (*t1.values(), *t2.values())
               if isinstance(c, TruncatedPadic)]
     if not padics:
-        return (lambda c: c), (lambda pairs: ((k, c) for k, c in pairs if c))
+        return ((lambda c: c), (lambda pairs: ((k, c) for k, c in pairs if c)),
+                None, 1)
     p = padics[0].p
     for c in padics:
         if c.p != p:
@@ -408,7 +439,7 @@ def _coefficient_rule(t1, t2):
     prec = min(c.prec for c in padics)
     m, make = p ** prec, TruncatedPadic._make
     return _residue, (lambda pairs: ((k, make(p, prec, r))
-                                     for k, c in pairs if (r := c % m)))
+                                     for k, c in pairs if (r := c % m))), p, prec
 
 
 def _shift_key(key, mono):

@@ -336,6 +336,33 @@ def test_jet_checks_its_arguments(extra, message, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["selftest", "--checks", "padic", "--p", "1000000000000000003"],
+     "the padic check takes p <= 1009"),
+    (["selftest", "--checks", "padic", "--p", str(2 ** 89 - 1)],
+     "primes must be below"),
+    (["jet", "prolong", "--f", "x^2", "--flavor", "arithmetic", "--p", "3",
+      "--order", "5"], "arithmetic jet prolong takes order <= 3"),
+    (["jet", "prolong", "--f", "x^2", "--flavor", "arithmetic", "--p", "19"],
+     "arithmetic jet prolong takes p <= 17"),
+])
+def test_large_primes_and_jet_orders_exit_two_at_once(argv, message, capsys):
+    t0 = time.time()
+    assert cli.main(argv) == 2
+    assert time.time() - t0 < 1.0
+    assert message in _one_line_error(capsys)
+    assert capsys.readouterr().out == ""
+
+
+def test_jet_caps_admit_their_largest_inputs(capsys):
+    for extra in (["--p", "3", "--order", "3"], ["--p", "17", "--order", "1"]):
+        assert cli.main(["jet", "prolong", "--f", "x^2", "--flavor",
+                         "arithmetic"] + extra) == 0
+    # the classical flavor takes no prime and has no cap
+    assert cli.main(["jet", "prolong", "--f", "x^2", "--order", "5"]) == 0
+    assert capsys.readouterr().out.count("delta^") == 4 + 2 + 6
+
+
 def test_euler_checks_every_sphere_at_once(monkeypatch, capsys):
     # one whole-chart residual replaces the sampled spheres; without the
     # gauge step it is nonzero, and the witness names the prime only

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithflow.padic import (TruncatedPadic, PrecisionError, delta_base,
-                             teichmuller, is_delta_constant)
+                             teichmuller, is_delta_constant, _is_prime,
+                             _PRIME_LIMIT)
 
 
 def test_delta_of_zero_and_one():
@@ -33,6 +34,41 @@ def test_teichmuller_examples():
     assert t.val == 57
     assert pow(57, 5, 125) == 57
     assert delta_base(teichmuller(5, 2, 4)).is_zero()
+
+
+def test_teichmuller_is_the_fixed_point_iteration():
+    # the closed form r^(p^(prec-1)) against iterating x -> x^p to a fixed point
+    for p in (3, 5, 7, 13):
+        for prec in range(1, 7):
+            m = p ** prec
+            for r in range(p):
+                x = r
+                while pow(x, p, m) != x:
+                    x = pow(x, p, m)
+                t = teichmuller(p, r, prec)
+                assert (t.p, t.prec, t.val) == (p, prec, x)
+
+
+def test_is_prime_matches_trial_division():
+    small = [q for q in range(2, 317) if all(q % d for d in range(2, q))]
+    for n in range(-3, 100000):
+        want = n >= 2 and all(n % q for q in small if q * q <= n)
+        assert _is_prime(n) == want, n
+
+
+def test_is_prime_at_large_n():
+    # 3215031751 = 151 * 751 * 28351 is a strong pseudoprime to bases 2, 3, 5, 7
+    assert not _is_prime(3215031751)
+    assert _is_prime(1000000000000000003)
+    assert not _is_prime(1000000000000000001)
+    # the largest prime below 2^64
+    assert _is_prime(2 ** 64 - 59)
+    # a strong pseudoprime to the first 11 prime bases, 2 to 31
+    assert not _is_prime(149491 * 747451 * 34233211)
+    with pytest.raises(ValueError, match="primes must be below"):
+        _is_prime(_PRIME_LIMIT)
+    with pytest.raises(ValueError, match="primes must be below"):
+        TruncatedPadic(2 ** 89 - 1, 1, 1)
 
 
 def test_delta_constant_predicate():

@@ -418,6 +418,96 @@ def test_one_term_and_square_edge_cases():
         MultiPoly._raw({(): tp(7, 3, 1)}) * MultiPoly._raw(f)
 
 
+class Recorded(int):
+    """An int that records the value of each product it takes part in."""
+
+    products = []
+
+    def __mul__(self, other):
+        out = int(self) * int(other)
+        Recorded.products.append(out)
+        return out
+
+    __rmul__ = __mul__
+
+
+@st.composite
+def mixed_precision_operands(draw):
+    """Two term dicts around one p.  The first mixes precisions 1 to 5, with
+    coefficients u*p^k for k up to the precision, and ints u*p^k; the second
+    has one precision, or mixes them as the first does.  Every value is a
+    Recorded int."""
+    p = draw(st.sampled_from((3, 5, 7)))
+    units = st.integers(1, p ** 5)
+
+    def padics(precs):
+        return st.builds(
+            lambda prec, u, k: TruncatedPadic._make(
+                p, prec, Recorded(u * p ** min(k, prec) % p ** prec)),
+            precs, units, st.integers(0, 5)).filter(lambda c: c.val != 0)
+
+    scaled_ints = st.builds(lambda u, k: Recorded(u * p ** k),
+                            st.integers(-20, 20).filter(bool), st.integers(0, 4))
+    mixed = st.one_of(padics(st.integers(1, 5)), scaled_ints)
+    one_prec = padics(st.just(draw(st.integers(1, 5))))
+    t1 = draw(term_dicts(mixed, max_size=8))
+    t2 = draw(term_dicts(draw(st.sampled_from((mixed, one_prec))), max_size=8))
+    return t1, t2
+
+
+def assert_kernel_matches(t1, t2, square):
+    """The kernel's product against the double loop on operands truncated to
+    the least precision N; and, unless an operand has one term (which only
+    shifts keys), no coefficient product it forms is 0 mod p^N."""
+    padics = [c for c in (*t1.values(), *t2.values())
+              if isinstance(c, TruncatedPadic)]
+    Recorded.products = []
+    f1 = MultiPoly._raw(t1)
+    got = (f1 * f1 if square else f1 * MultiPoly._raw(t2)).terms
+    if not padics:
+        assert_same_terms(got, reference_mul(t1, t2))
+        return
+    p, n = padics[0].p, min(c.prec for c in padics)
+    if len(t1) > 1 and len(t2) > 1:
+        assert all(c % p ** n for c in Recorded.products)
+
+    def plain(t):
+        return {k: TruncatedPadic(p, n, int(getattr(c, "val", c)))
+                for k, c in t.items()}
+
+    assert_same_terms(got, reference_mul(plain(t1), plain(t2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_precision_operands())
+def test_product_of_mixed_precision_operands(pair):
+    assert_kernel_matches(*pair, square=False)
+    assert_kernel_matches(pair[1], pair[0], square=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_precision_operands())
+def test_square_of_mixed_precision_operand(pair):
+    t = {**pair[0], **pair[1]}
+    assert_kernel_matches(t, t, square=True)
+
+
+def test_products_skip_pairs_that_vanish_at_the_least_precision():
+    # v(5) + v(5) = 2 reaches the least precision 2, though not the largest 3
+    tp = TruncatedPadic._make
+    f = {(): tp(5, 3, Recorded(1)), (("x1", 1),): tp(5, 3, Recorded(5)),
+         (("x2", 1),): tp(5, 3, Recorded(25)), (("x3", 1),): tp(5, 2, Recorded(1))}
+    assert_kernel_matches(f, f, square=True)
+    g = {(("x1", 2),): tp(5, 2, Recorded(5)), (("x2", 2),): tp(5, 2, Recorded(2))}
+    assert_kernel_matches(f, g, square=False)
+    h = MultiPoly._raw(f)
+    assert_same_terms((h * h).terms, {(): tp(5, 2, 1),
+                                      (("x1", 1),): tp(5, 2, 10),
+                                      (("x3", 1),): tp(5, 2, 2),
+                                      (("x3", 2),): tp(5, 2, 1),
+                                      (("x1", 1), ("x3", 1)): tp(5, 2, 10)})
+
+
 # ---------------------------------------------------------------------------
 # sympy as an independent oracle for products and powers over ZZ
 
