@@ -29,8 +29,6 @@ VERSION = "0.1.0"
 
 DEFAULT_PRIMES = (5, 7, 13)
 DEFAULT_PREC = 3
-ALL_CHECKS = ("padic", "classical", "poisson", "lax_classical",
-              "euler", "ap", "lax", "spectrum")
 
 
 class ConfigError(ValueError):
@@ -332,6 +330,7 @@ CHECK_FUNCS = {
     "lax": _check_lax,
     "spectrum": _check_spectrum,
 }
+ALL_CHECKS = tuple(CHECK_FUNCS)
 
 
 # suite subcommands: help text and the checks each runs; selftest runs the
@@ -394,36 +393,47 @@ def _build_config(args):
     return cfg
 
 
-# the largest p of the hasse and ap subcommands, whose time grows steeply with
-# p: at these caps hasse (a = 1,2,4) took 1.0 s and ap 1.3 s on a 2-core Xeon
-# with CPython 3.11.7
-_P_CAP = {"hasse": 101, "ap": 2003}
+# the largest values that each subject of an error message takes, where the
+# time grows steeply with them (2-core Xeon, CPython 3.11.7; check time in one
+# process for the checks, the whole command otherwise).
+# - the euler check: flow construction; --p 41 --prec 2 and --p 5 --prec 12
+#   ran past 20 s.  Measured before the increment products were shared in the
+#   flow builder and before the product kernel skipped pairs that vanish mod
+#   p^N, so now stale: at the caps it took 1.9-3.5 s at p = 17 over four a
+#   triples and 5.6 s with --p 5,7,11,13,17; one step past, 5.5 s at p = 19
+#   alone and 8.6 s with --p 5,7,11,13 --prec 4.
+# - the lax and spectrum checks: linear in p and steep in prec; lax verify
+#   --p 10007 took 7.5 s and --p 5 --prec 400 7.5 s.  At the caps they took
+#   1.9-2.2 s together at p = 1009 and 2.0-2.5 s with --p 997,1009; past them,
+#   2.7 s at p = 2003 and 3.9 s at prec 100.
+# - the padic check: every prime at prec + 1 digits; --prec 3000 took 16 s at
+#   p = 5.  At the caps it took 3.1 s with all 168 odd primes up to 1009, and
+#   14.3 s at prec 100; with the Teichmuller lift as one modular power,
+#   1.7-2.5 s and 10.8 s.
+# - hasse and ap: at these caps hasse (a = 1,2,4) took 1.0 s and ap 1.3 s.
+# - arithmetic jet prolong: each order raises the previous relation to the
+#   p-th power (--f x^2).  At the caps it took 1.6-1.8 s at p = 17, order 3;
+#   one step past, 3.2 s at p = 19, 6.7 s at p = 5, order 4, and past 30 s at
+#   p = 7, order 4; order 5 at p = 3 and order 3 at p = 1009 ran past 30 s.
+#   The time grows steeply with the relation too, which the caps do not
+#   bound: x^3+y^2+x*y took 4.8 s at p = 3, order 3, and ran past 30 s at
+#   p = 5, order 3.
+_CAPS = {"the euler check": {"p": 17, "prec": 3},
+         "the lax check": {"p": 1009, "prec": 50},
+         "the spectrum check": {"p": 1009, "prec": 50},
+         "the padic check": {"p": 1009, "prec": 50},
+         "hasse": {"p": 101},
+         "ap": {"p": 2003},
+         "arithmetic jet prolong": {"p": 17, "order": 3}}
 
-# the largest p and prec of each check whose time grows steeply with them
-# (2-core Xeon, CPython 3.11.7, check time in one process).  euler: flow
-# construction; --p 41 --prec 2 and --p 5 --prec 12 ran past 20 s.  At the
-# caps it took 1.9-3.5 s at p = 17 over four a triples and 5.6 s with
-# --p 5,7,11,13,17; one step past, 5.5 s at p = 19 alone and 8.6 s with
-# --p 5,7,11,13 --prec 4.  lax and spectrum: linear in p and steep in prec;
-# lax verify --p 10007 took 7.5 s and --p 5 --prec 400 7.5 s.  At the caps
-# they took 1.9-2.2 s together at p = 1009 and 2.0-2.5 s with --p 997,1009;
-# past them, 2.7 s at p = 2003 and 3.9 s at prec 100.  padic: every prime at
-# prec + 1 digits; --prec 3000 took 16 s at p = 5.  At the caps it took
-# 3.1 s with all 168 odd primes up to 1009, and 14.3 s at prec 100; with the
-# Teichmuller lift as one modular power, 1.7-2.5 s and 10.8 s.
-_CHECK_CAPS = {"euler": {"p": 17, "prec": 3},
-               "lax": {"p": 1009, "prec": 50},
-               "spectrum": {"p": 1009, "prec": 50},
-               "padic": {"p": 1009, "prec": 50}}
 
-# the largest p and order of an arithmetic jet prolongation, where each order
-# raises the previous relation to the p-th power (same machine, whole command,
-# --f x^2).  At the caps it took 1.6-1.8 s at p = 17, order 3; one step past,
-# 3.2 s at p = 19, 6.7 s at p = 5, order 4, and past 30 s at p = 7, order 4;
-# order 5 at p = 3 and order 3 at p = 1009 ran past 30 s.  The time grows
-# steeply with the relation too, which the caps do not bound: x^3+y^2+x*y
-# took 4.8 s at p = 3, order 3, and ran past 30 s at p = 5, order 3.
-_JET_CAPS = {"p": 17, "order": 3}
+def _check_caps(what, **values):
+    """Raise ConfigError for the first given value above its cap in
+    _CAPS[what]; a subject without caps, or a value None, passes."""
+    for key, cap in _CAPS.get(what, {}).items():
+        if values[key] is not None and values[key] > cap:
+            raise ConfigError("%s takes %s <= %d, got %d"
+                              % (what, key, cap, values[key]))
 
 
 def _one_prime(val):
@@ -443,9 +453,7 @@ def _curve_args(args):
         val = getattr(args, key, None)
         if val is not None:
             _apply_option(cfg, key, val)
-    cap = _P_CAP[args.command]
-    if p > cap:
-        raise ConfigError("%s takes p <= %d, got %d" % (args.command, cap, p))
+    _check_caps(args.command, p=p)
     # hasse expands F^{(p-1)/2} over the integers, so its time grows with the
     # size of the a_i as well; the Hasse invariant is a mod-p object, and at
     # p = 101 a = 10^30,2,4 took 11.7 s against 0.83 s for a = 1,2,4
@@ -520,12 +528,8 @@ def _dispatch(args):
         checks = SUITES[args.command][1]
         if checks is not None:
             cfg.checks = list(checks)
-        values = {"p": max(cfg.primes), "prec": cfg.prec}
         for cid in cfg.checks:
-            for key, cap in _CHECK_CAPS.get(cid, {}).items():
-                if values[key] > cap:
-                    raise ConfigError("the %s check takes %s <= %d, got %d"
-                                      % (cid, key, cap, values[key]))
+            _check_caps("the %s check" % cid, p=max(cfg.primes), prec=cfg.prec)
         return _emit(run(cfg), cfg)
     if args.command == "hasse":
         p, a, _ = _curve_args(args)
@@ -543,11 +547,7 @@ def _dispatch(args):
         if args.order < 0:
             raise ConfigError("order must be >= 0, got %d" % args.order)
         p = _one_prime(args.p) if args.p is not None else None
-        if args.flavor == "arithmetic":
-            for key, val in (("p", p), ("order", args.order)):
-                if val is not None and val > _JET_CAPS[key]:
-                    raise ConfigError("arithmetic jet prolong takes %s <= %d, "
-                                      "got %d" % (key, _JET_CAPS[key], val))
+        _check_caps("%s jet prolong" % args.flavor, p=p, order=args.order)
         f = parse_poly(args.f)
         pres = jets.prolong(f, args.order, args.flavor, p)
         for k, rel in enumerate(pres.relations):

@@ -13,6 +13,8 @@ congruence for the trace of Frobenius).
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .padic import TruncatedPadic, teichmuller
 from .poly import (MultiPoly, Chart, ChartElement, Zp, FiberNF, SphereNF,
                    ChartError, reduce_poly_mod_p)
@@ -323,32 +325,38 @@ def gauge_adjust(flow, sys):
 # ---------------------------------------------------------------------------
 # fiber verifications (all mod p)
 
+def _once_per_flow(fn):
+    """Compute fn(flow, sys) once per flow object; a raise is not kept."""
+    @wraps(fn)
+    def once(flow, sys):
+        cache = vars(flow).setdefault("_once", {})
+        if fn not in cache:
+            cache[fn] = fn(flow, sys)
+        return cache[fn]
+    return once
+
+
+@_once_per_flow
 def pullback_coefficient(flow, sys):
     """h = <(phi*/p) omega, v> mod p, before normal form, for the fiber
     1-form omega = dx3 / ((a1 - a2) x1 x2) (<omega, v> = 1).  In closed form
     h = (x1 x2 x3^{p-1} + v(u3)/(a1 - a2)) / (x1 x2)^p, with u3 the mod-p x3
     image: phi(x1 x2) = (x1 x2)^p and (phi*/p) dx3 = x3^{p-1} dx3 + du3 mod
     p.  It does not depend on the fiber, so it is cached on the flow."""
-    cached = getattr(flow, "_pullback_cache", None)
-    if cached is not None:
-        return cached
     p, ab = sys.p, sys.a_mod_p()
     cp = sys.chart.reduce_mod_p()
     lead = cp.elem(MultiPoly.monomial(cp.ring.from_int(1), x1=1, x2=1, x3=p - 1))
     vu3 = classical_euler_flow(cp, ab).apply_elem(flow.image("x3").reduce_mod_p())
     h = (lead + vu3 * (ab[0] - ab[1]).inv()).div_factor(0, p).div_factor(1, p)
-    flow._pullback_cache = (h, cp)
-    return flow._pullback_cache
+    return h, cp
 
 
+@_once_per_flow
 def _fibre_normal_forms(flow, sys):
     """(forms, den, cp): the fiber normal forms of the denominator product
     prod f_i^{den_i} and of the numerator of h, with c kept as the symbols
     z1, z2.  One FiberNF computes both, once per flow; the result is cached
     on the flow."""
-    cached = getattr(flow, "_fibre_nf_cache", None)
-    if cached is not None:
-        return cached
     h, cp = pullback_coefficient(flow, sys)
     one = cp.ring.from_int(1)
     nf = FiberNF(cp, sys.a_mod_p(), MultiPoly.var("z1", one),
@@ -360,8 +368,7 @@ def _fibre_normal_forms(flow, sys):
     for f, k in zip(cp.factors, h.den):
         if k:
             den_nf = nf.nf_poly(den_nf * nf.nf_poly(f) ** k)
-    flow._fibre_nf_cache = ((den_nf, nf.nf_poly(h.num)), h.den, cp)
-    return flow._fibre_nf_cache
+    return (den_nf, nf.nf_poly(h.num)), h.den, cp
 
 
 def _specialise(form, c1, c2, scale, acc, p):
@@ -395,17 +402,17 @@ def verify_linearization(flow, sys, fiber):
     return derive_new2_form(flow, sys, fiber, coef=Ac) * -Ac.inv()
 
 
+@_once_per_flow
 def _require_prime_integrals(flow, sys):
     """Raise ArithmeticError unless phi(H_j) = H_j^p exactly at the working
     precision, for j = 1, 2; a pass is cached on the flow."""
-    if not getattr(flow, "_prime_integrals_exact", False):
-        for H in (sys.H1, sys.H2):
-            if not check_prime_integral(flow, H).is_zero():
-                raise ArithmeticError(
-                    "phi(H) != H^p: the flow's prime integrals are not exact")
-        flow._prime_integrals_exact = True
+    for H in (sys.H1, sys.H2):
+        if not check_prime_integral(flow, H).is_zero():
+            raise ArithmeticError(
+                "phi(H) != H^p: the flow's prime integrals are not exact")
 
 
+@_once_per_flow
 def sphere_residual(flow, sys):
     """H1^{p-1} (h - 1/A_{p-1}(H1,H2)) mod p, before the sphere normal form,
     with h from pullback_coefficient; it does not depend on c2, so it is
@@ -417,14 +424,10 @@ def sphere_residual(flow, sys):
     = H1^{p-1} dH1 mod p.  Without exact prime integrals that last step fails
     (with the x1 image + x1 this would be zero, the pullback not), so then it
     raises ArithmeticError."""
-    cached = getattr(flow, "_sphere_cache", None)
-    if cached is not None:
-        return cached
     _require_prime_integrals(flow, sys)
     h, cp = pullback_coefficient(flow, sys)
     H1p = cp.elem(reduce_poly_mod_p(sys.H1, cp.ring))
-    flow._sphere_cache = (H1p ** (sys.p - 1) * (h - cp.one().div_factor(3)), cp)
-    return flow._sphere_cache
+    return H1p ** (sys.p - 1) * (h - cp.one().div_factor(3)), cp
 
 
 def verify_new1(flow, sys, c2):

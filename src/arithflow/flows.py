@@ -1,9 +1,11 @@
 """Flows on charts.
 
 A classical flow is a derivation given by its generator images plus a base
-derivation on coefficients.  An arithmetic flow is a p-derivation given by
-the images u_i with phi(x_i) = x_i^p + p u_i; phi extends to denominators by
-a truncated geometric series, exact at the working precision.
+derivation on coefficients, extended to chart elements by
+ChartElement.derive.  An arithmetic flow is a p-derivation given by the
+images u_i with phi(x_i) = x_i^p + p u_i; phi substitutes these into a
+polynomial with poly.substitute_terms and extends to denominators by a
+truncated geometric series, exact at the working precision.
 
 Also here: Poisson structures (explicit brackets or Lie-Poisson from
 structure constants), the symplectic-derived bracket on the sphere, Lax
@@ -17,7 +19,7 @@ import operator
 from functools import reduce
 from itertools import combinations
 
-from .poly import MultiPoly, ChartElement, Zp
+from .poly import MultiPoly, ChartElement, Zp, substitute_terms
 from .forms import DiffForm, elem_deriv, lie_derivative
 
 
@@ -54,21 +56,7 @@ class ClassicalFlow(Flow):
 
     def apply_elem(self, e):
         """Quotient rule over the declared denominator factors."""
-        chart = self.chart
-        out = self.apply_poly(e.num)
-        out = ChartElement(chart, out.num, tuple(a + b for a, b in zip(out.den, e.den)))
-        for i, f in enumerate(chart.factors):
-            k = e.den[i]
-            if not k:
-                continue
-            dfi = self.apply_poly(f)
-            if dfi.is_zero():
-                continue
-            den = list(e.den)
-            den[i] += 1
-            term = ChartElement(chart, e.num * (-k), den) * dfi
-            out = out + term
-        return out
+        return e.derive(self.apply_poly)
 
 
 def check_prime_integral(flow, H):
@@ -198,17 +186,8 @@ class ArithmeticFlow(FrobeniusLift):
 
     def phi_poly(self, f):
         """phi of a polynomial: substitute each variable by its phi image."""
-        out = self.chart.zero()
-        pow_cache = {}
-        for key, c in f.terms.items():
-            term = self.chart.const(c)
-            for name, e in key:
-                pk = (name, e)
-                if pk not in pow_cache:
-                    pow_cache[pk] = self.phi_var(name) ** e
-                term = term * pow_cache[pk]
-            out = out + term
-        return out
+        return substitute_terms(f.terms, self.chart.zero(), self.chart.const,
+                                lambda name, e: self.phi_var(name) ** e)
 
     def delta_poly(self, f):
         """(phi(f) - f^p)/p; divisibility is structural and asserted."""
@@ -223,12 +202,7 @@ class ArithmeticFlow(FrobeniusLift):
         """
         if i not in self._inv_phi_factor:
             chart = self.chart
-            C = chart.factors[i]
-            dC = self.delta_poly(C)
-            shift = [0] * chart.nfac
-            shift[i] = self.p
-            g = ChartElement(chart, dC.num,
-                             tuple(a + b for a, b in zip(dC.den, shift)))
+            g = self.delta_poly(chart.factors[i]).div_factor(i, self.p)
             total = chart.one()
             term = chart.one()
             for _ in range(1, self.prec):
@@ -236,8 +210,7 @@ class ArithmeticFlow(FrobeniusLift):
                 if term.num.is_zero():
                     break
                 total = total + term
-            self._inv_phi_factor[i] = ChartElement(
-                chart, total.num, tuple(a + b for a, b in zip(total.den, shift)))
+            self._inv_phi_factor[i] = total.div_factor(i, self.p)
         return self._inv_phi_factor[i]
 
     def phi_elem(self, e):

@@ -9,24 +9,12 @@ tangent/bivector frame used for restriction to fibers and spheres.
 
 from __future__ import annotations
 
-from .poly import MultiPoly, ChartElement
+from .poly import MultiPoly
 
 
 def elem_deriv(e, name):
-    """Partial derivative of a chart element (quotient rule per factor)."""
-    chart = e.chart
-    out = ChartElement(chart, e.num.deriv(name), e.den)
-    for i, f in enumerate(chart.factors):
-        k = e.den[i]
-        if not k:
-            continue
-        df = f.deriv(name)
-        if df.is_zero():
-            continue
-        den = list(e.den)
-        den[i] += 1
-        out = out + ChartElement(chart, e.num * df * (-k), den)
-    return out
+    """Partial derivative of a chart element, by ChartElement.derive."""
+    return e.derive(lambda f: e.chart.elem(f.deriv(name)))
 
 
 def _merge_indices(t1, t2):

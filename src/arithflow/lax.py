@@ -15,6 +15,8 @@ the Hensel lift of the eigenvalues.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .flows import _det, char_poly_coeffs, mat_mul
 from .padic import TruncatedPadic, is_delta_constant
 
@@ -173,10 +175,10 @@ def eigen_split(x):
              for i in range(n)]
         cols.append(_kernel_vector(m, p, prec))
     W = PMatrix([[cols[j][i] for j in range(n)] for i in range(n)])
-    g = W.inv()
     h = PMatrix.diagonal(roots)
-    assert conj(h, g) == x
-    return h, g
+    # x = g^{-1} h g with g = W^{-1}, that is x W = W h
+    assert x * W == W * h
+    return h, W.inv()
 
 
 def _row_reduce(rows, ncols):
@@ -227,18 +229,20 @@ def frobenius_star(x):
     return conj(hp, phi0_entrywise(g))
 
 
-def _cyclic_matrix(x, v):
-    """Columns v, xv, ..., x^{n-1}v; None if not invertible."""
+def _cyclic_lift(x, v):
+    """phi0(S) and its inverse, for S with columns v, xv, ..., x^{n-1}v;
+    (None, None) if S is not invertible.  phi0(S) = S mod p, so one is
+    invertible iff the other is."""
     n = x.n
     cols = [[[e] for e in v]]   # n x 1 matrices
     for _ in range(n - 1):
         cols.append(mat_mul(x.rows, cols[-1]))
     S = PMatrix([[col[i][0] for col in cols] for i in range(n)])
+    lift = phi0_entrywise(S)
     try:
-        Sinv = S.inv()
+        return lift, lift.inv()
     except ZeroDivisionError:
         return None, None
-    return S, Sinv
 
 
 def _companion(P, p, prec):
@@ -263,26 +267,20 @@ def frobenius_star_star(x, rng=None):
     p, prec = x.p, x.prec
     one = TruncatedPadic(p, prec, 1)
     zero = TruncatedPadic(p, prec, 0)
-    candidates = []
-    for k in range(n):
-        candidates.append([one if i <= k else zero for i in range(n)])
-    S = Sinv = None
-    for v in candidates:
-        S, Sinv = _cyclic_matrix(x, v)
-        if S is not None:
+    # the vectors (1, .., 1, 0, .., 0), then up to 50 drawn from rng; both
+    # are generated lazily, so rng is drawn from only if all of the first fail
+    standard = ([one if i <= k else zero for i in range(n)] for k in range(n))
+    drawn = ([TruncatedPadic(p, prec, rng.randrange(p ** prec)) for _ in range(n)]
+             for _ in range(50 if rng is not None else 0))
+    for v in chain(standard, drawn):
+        phiS, phiS_inv = _cyclic_lift(x, v)
+        if phiS is not None:
             break
-    if S is None and rng is not None:
-        for _ in range(50):
-            v = [TruncatedPadic(p, prec, rng.randrange(p ** prec))
-                 for _ in range(n)]
-            S, Sinv = _cyclic_matrix(x, v)
-            if S is not None:
-                break
-    if S is None:
+    else:
         raise NotRegularError("no cyclic vector found mod p")
     P = char_poly(x)
     Cp = _companion([Pj.frobenius() for Pj in P], p, prec)
-    return phi0_entrywise(S) * Cp * phi0_entrywise(S).inv()
+    return phiS * Cp * phiS_inv
 
 
 def conjugate_lift(y, alpha):

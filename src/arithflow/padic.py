@@ -168,10 +168,6 @@ class TruncatedPadic:
             raise PrecisionError("cannot raise precision %d -> %d" % (self.prec, prec))
         return TruncatedPadic._make(self.p, prec, self.val % (self.p ** prec))
 
-    def lift(self, prec):
-        """Arbitrary lift to higher precision (fills top digits with 0)."""
-        return TruncatedPadic(self.p, prec, self.val)
-
     def frobenius(self):
         """a -> a^p at the carried precision."""
         return TruncatedPadic._make(self.p, self.prec, pow(self.val, self.p, self.modulus))

@@ -25,6 +25,9 @@ the rule TruncatedPadic arithmetic already follows.
 A Chart declares an ordered variable list and a list of denominator factors
 that are units on the chart; a ChartElement is numerator / prod(factor_i ^
 k_i).  Equality of chart elements is cross-multiplied, no gcd normalization.
+Both flavors of flow share two constructs from here: ChartElement.derive
+applies a derivation by the quotient rule, and substitute_terms, which forms
+each power once, is the substitution loop behind MultiPoly.substitute and phi.
 """
 
 from __future__ import annotations
@@ -226,28 +229,18 @@ class MultiPoly:
             else:
                 d[name] = e - 1
             nc = c * e
-            if _coeff_is_zero(nc):
-                continue
-            k = tuple(sorted(d.items()))
-            out[k] = out.get(k, 0) + nc if k in out else nc
-        return MultiPoly._raw({k: c for k, c in out.items() if not _coeff_is_zero(c)})
+            # d keeps the sorted order of key, and distinct keys have
+            # distinct derivative keys, so nothing needs merging
+            if not _coeff_is_zero(nc):
+                out[tuple(d.items())] = nc
+        return MultiPoly._raw(out)
 
     def substitute(self, mapping):
         """Substitute variables by polynomials (or leave them in place)."""
-        result = MultiPoly._raw({})
-        pow_cache = {}
-        for key, c in self.terms.items():
-            term = MultiPoly.const(c)
-            for name, e in key:
-                if name in mapping:
-                    pk = (name, e)
-                    if pk not in pow_cache:
-                        pow_cache[pk] = mapping[name] ** e
-                    term = term * pow_cache[pk]
-                else:
-                    term = term * MultiPoly._raw({((name, e),): 1})
-            result = result + term
-        return result
+        return substitute_terms(
+            self.terms, MultiPoly._raw({}), MultiPoly.const,
+            lambda name, e: (mapping[name] ** e if name in mapping
+                             else MultiPoly._raw({((name, e),): 1})))
 
     def eval(self, values):
         """Evaluate with all variables bound to coefficients."""
@@ -323,6 +316,22 @@ class MultiPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def substitute_terms(terms, zero, const, power):
+    """zero + the sum of const(c) * prod power(name, e) over the terms c *
+    prod name^e, each power formed once: the substitution loop of both
+    MultiPoly.substitute and ArithmeticFlow.phi_poly."""
+    out = zero
+    powers = {}
+    for key, c in terms.items():
+        term = const(c)
+        for name, e in key:
+            if (name, e) not in powers:
+                powers[name, e] = power(name, e)
+            term = term * powers[name, e]
+        out = out + term
+    return out
 
 
 def _power(base, n, one):
@@ -609,6 +618,23 @@ class ChartElement:
         den = list(self.den)
         den[index] += k
         return ChartElement(self.chart, self.num, den)
+
+    def derive(self, D):
+        """D of this element by the quotient rule, for a derivation D from
+        polynomials to chart elements: D(num)/den - sum_i k_i num D(f_i) /
+        (f_i den), with k_i = den[i] and f_i the chart's factors.  The scalar
+        -k_i is applied before the product, so terms it kills mod p^N are
+        never multiplied."""
+        d = D(self.num)
+        out = ChartElement(self.chart, d.num,
+                           tuple(a + b for a, b in zip(d.den, self.den)))
+        for i, (f, k) in enumerate(zip(self.chart.factors, self.den)):
+            if not k:
+                continue
+            df = D(f)
+            if not df.is_zero():
+                out = out + (self * -k).div_factor(i) * df
+        return out
 
     def __eq__(self, other):
         o = self._align(other)

@@ -220,6 +220,39 @@ def test_new1_needs_exact_prime_integrals(sys5, flow5):
         eu.verify_new1(bad, sys5, c2)
 
 
+def test_per_flow_results_are_kept_on_the_flow_object(sys5, flow5,
+                                                      monkeypatch):
+    for fn in (eu.pullback_coefficient, eu._fibre_normal_forms,
+               eu.sphere_residual):
+        first = fn(flow5, sys5)
+        assert fn(flow5, sys5) is first
+        fresh = ArithmeticFlow(sys5.chart, dict(flow5.images))
+        again = fn(fresh, sys5)
+        assert again is not first and again == first
+    calls = []
+
+    def spy(flow, H):
+        calls.append(H)
+        return check_prime_integral(flow, H)
+
+    monkeypatch.setattr(eu, "check_prime_integral", spy)
+    fresh = ArithmeticFlow(sys5.chart, dict(flow5.images))
+    for _ in range(2):
+        eu._require_prime_integrals(fresh, sys5)
+    assert len(calls) == 2   # H1 and H2, on the first call only
+    # a failing check keeps nothing: every call checks and raises again
+    chart = sys5.chart
+    bad = ArithmeticFlow(chart, dict(
+        flow5.images, x3=flow5.images["x3"] + chart.var("x3")))
+    fiber = eu.AdmissibleFiber(sys5, *eu.admissible_fibers(sys5)[0])
+    for call in (lambda: eu.sphere_residual(bad, sys5),
+                 lambda: eu.fiber_frobenius(bad, sys5, fiber)) * 2:
+        calls.clear()
+        with pytest.raises(ArithmeticError):
+            call()
+        assert calls
+
+
 def test_fiber_frobenius(sys5, flow5):
     rng = random.Random(19)
     fiber = eu.sample_admissible_fiber(sys5, rng)

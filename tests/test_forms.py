@@ -74,6 +74,27 @@ def test_elem_deriv_quotient_rule():
     assert elem_deriv(e, "x2") == chart.one().div_factor(0, 2)
 
 
+@pytest.mark.parametrize("ring, k", [(ZZ(), 2), (Zp(5, 3), 5)], ids=["ZZ", "Zp"])
+def test_quotient_rule_on_a_non_monomial_factor(ring, k):
+    # factors x1 + x2 and x3; at p = 5 the exponent k = 5 is 0 mod p
+    one = ring.from_int(1)
+    x1, x2, x3 = (MultiPoly.var(n, one) for n in ("x1", "x2", "x3"))
+    chart = Chart(("x1", "x2", "x3"), (x1 + x2, x3), ring)
+    f = chart.elem(x1 * x1 * x3 + x2 * 3, (k, 0))
+    g = chart.elem(x2 - x3 * x3 * 2, (k + 1, 2))
+    unit = chart.elem((x1 + x2) ** k * x3 ** 2)
+    unit_inv = chart.one().div_factor(0, k).div_factor(1, 2)
+    # every derivation of ZZ or Z/p^N is zero, so base_deriv can only be zero
+    flow = ClassicalFlow(chart, {
+        "x1": chart.elem(x2 * x3), "x2": chart.elem(x1, (1, 0)),
+        "x3": chart.one()}, base_deriv=lambda c: c * 0)
+    derivations = [lambda e, n=n: elem_deriv(e, n) for n in chart.vars]
+    for D in derivations + [flow.apply_elem]:
+        assert D(f * g) == D(f) * g + f * D(g)
+        assert D(unit * unit_inv).is_zero()
+        assert D(unit_inv) == -D(unit) * unit_inv * unit_inv
+
+
 def test_lie_derivative_on_functions_and_d():
     chart = Chart(("x1", "x2", "x3"), (), ZZ())
     a = (MultiPoly.var("a1"), MultiPoly.var("a2"), MultiPoly.var("a3"))
