@@ -149,10 +149,8 @@ def _check_classical(cfg, rng):
     gf = Zp(p, 1)
     av = _distinct_triple(rng, p)
     c2 = gf.from_int(rng.randrange(1, p))
-    schart = Chart(("x1", "x2", "x3"),
-                   (MultiPoly.var("x1", gf.from_int(1)),
-                    MultiPoly.var("x2", gf.from_int(1)),
-                    MultiPoly.var("x3", gf.from_int(1))), gf)
+    schart = Chart(("x1", "x2", "x3"), tuple(
+        MultiPoly.var(n, gf.from_int(1)) for n in ("x1", "x2", "x3")), gf)
     ab = tuple(gf.from_int(v) for v in av)
     sflow = eu.classical_euler_flow(schart, ab)
     frame = FiberFrame(schart, ab)
@@ -397,11 +395,11 @@ def _build_config(args):
 # time grows steeply with them (2-core Xeon, CPython 3.11.7; check time in one
 # process for the checks, the whole command otherwise).
 # - the euler check: flow construction; --p 41 --prec 2 and --p 5 --prec 12
-#   ran past 20 s.  Measured before the increment products were shared in the
-#   flow builder and before the product kernel skipped pairs that vanish mod
-#   p^N, so now stale: at the caps it took 1.9-3.5 s at p = 17 over four a
-#   triples and 5.6 s with --p 5,7,11,13,17; one step past, 5.5 s at p = 19
-#   alone and 8.6 s with --p 5,7,11,13 --prec 4.
+#   ran past 20 s.  With the packed polynomial storage, at the caps it took
+#   0.45-0.78 s at p = 17 over seeds 1-4 and 1.1-1.2 s with --p 5,7,11,13,17
+#   (seed 1); one step past, 0.63-0.69 s at p = 19 alone and 1.6-2.0 s with
+#   --p 5,7,11,13 --prec 4.  The caps are kept until the construction's reach
+#   is measured as a workload of its own.
 # - the lax and spectrum checks: linear in p and steep in prec; lax verify
 #   --p 10007 took 7.5 s and --p 5 --prec 400 7.5 s.  At the caps they took
 #   1.9-2.2 s together at p = 1009 and 2.0-2.5 s with --p 997,1009; past them,
@@ -418,13 +416,18 @@ def _build_config(args):
 #   The time grows steeply with the relation too, which the caps do not
 #   bound: x^3+y^2+x*y took 4.8 s at p = 3, order 3, and ran past 30 s at
 #   p = 5, order 3.
+# - classical jet prolong: the relation chain grows polynomially with the
+#   order.  At the cap, --f x^2 took 0.2 s and x^3+y^2+x*y 1.6-1.7 s, which
+#   prints 4 MB; one step past, order 120, x^3+y^2+x*y took 3.2 s, and in
+#   one process order 150 took 9.3 s and x^2 at order 400 4.8 s.
 _CAPS = {"the euler check": {"p": 17, "prec": 3},
          "the lax check": {"p": 1009, "prec": 50},
          "the spectrum check": {"p": 1009, "prec": 50},
          "the padic check": {"p": 1009, "prec": 50},
          "hasse": {"p": 101},
          "ap": {"p": 2003},
-         "arithmetic jet prolong": {"p": 17, "order": 3}}
+         "arithmetic jet prolong": {"p": 17, "order": 3},
+         "classical jet prolong": {"order": 100}}
 
 
 def _check_caps(what, **values):

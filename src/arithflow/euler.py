@@ -31,8 +31,7 @@ def euler_h_polys(a, one=1):
 
 def norm_poly(a, one=1):
     """N(z1, z2) = prod (z1 - a_i z2)."""
-    z1 = MultiPoly.var("z1", one)
-    z2 = MultiPoly.var("z2", one)
+    z1, z2 = (MultiPoly.var(n, one) for n in ("z1", "z2"))
     out = MultiPoly.const(one)
     for ai in a:
         out = out * (z1 - z2 * ai)
@@ -43,8 +42,7 @@ def quartic_poly(a, one=1):
     """F(z1, z2, x) = ((a2-a3)x^2 + z1 - a2 z2)((a3-a1)x^2 - z1 + a1 z2)."""
     a1, a2, a3 = a
     xx = MultiPoly.monomial(one, x=2)
-    z1 = MultiPoly.var("z1", one)
-    z2 = MultiPoly.var("z2", one)
+    z1, z2 = (MultiPoly.var(n, one) for n in ("z1", "z2"))
     return (xx * (a2 - a3) + z1 - z2 * a2) * (xx * (a3 - a1) - z1 + z2 * a1)
 
 
@@ -57,15 +55,10 @@ def hasse_invariant(p, a, one=1):
 def classical_euler_flow(chart, a):
     """The classical flow on a chart containing x1, x2, x3."""
     one = chart.ring.from_int(1)
-    x1 = MultiPoly.var("x1", one)
-    x2 = MultiPoly.var("x2", one)
-    x3 = MultiPoly.var("x3", one)
-    images = {
-        "x1": chart.elem(x2 * x3 * (a[1] - a[2])),
-        "x2": chart.elem(x3 * x1 * (a[2] - a[0])),
-        "x3": chart.elem(x1 * x2 * (a[0] - a[1])),
-    }
-    return ClassicalFlow(chart, images)
+    x1, x2, x3 = (MultiPoly.var(n, one) for n in ("x1", "x2", "x3"))
+    return ClassicalFlow(chart, {"x1": chart.elem(x2 * x3 * (a[1] - a[2])),
+                                 "x2": chart.elem(x3 * x1 * (a[2] - a[0])),
+                                 "x3": chart.elem(x1 * x2 * (a[0] - a[1]))})
 
 
 class PreconditionError(ValueError):
@@ -106,8 +99,7 @@ class EulerSystem:
         sub = {"z1": self.H1, "z2": self.H2}
         self.N_H = self.N_z.substitute(sub)
         self.A_H = self.A_z.substitute(sub)
-        x1 = MultiPoly.var("x1", one)
-        x2 = MultiPoly.var("x2", one)
+        x1, x2 = (MultiPoly.var(n, one) for n in ("x1", "x2"))
         # factor order: x1, x2, N(H1,H2), A_{p-1}(H1,H2)
         self.chart = Chart(("x1", "x2", "x3"), (x1, x2, self.N_H, self.A_H),
                            self.ring)
@@ -270,9 +262,7 @@ class FlowBuilder:
 
 def lift_elem(e, chart):
     """Lift a mod-p chart element to the full-precision chart (top digits 0)."""
-    ring = chart.ring
-    num = e.num.map_coeffs(lambda c: TruncatedPadic(ring.p, ring.prec, c.val))
-    return ChartElement(chart, num, e.den)
+    return ChartElement(chart, e.num.over(chart.ring), e.den)
 
 
 def build_flow(sys):
@@ -371,16 +361,6 @@ def _fibre_normal_forms(flow, sys):
     return (den_nf, nf.nf_poly(h.num)), h.den, cp
 
 
-def _specialise(form, c1, c2, scale, acc, p):
-    """Add scale times the symbolic form at z = (c1, c2) into acc, a dict
-    from x-keys to ints: a partial evaluation in plain F_p ints."""
-    for key, c in form.terms.items():
-        z = dict(key)
-        w = pow(c1, z.get("z1", 0), p) * pow(c2, z.get("z2", 0), p)
-        xkey = tuple(t for t in key if t[0] not in ("z1", "z2"))
-        acc[xkey] = acc.get(xkey, 0) + scale * w * c.val
-
-
 def linearization_identity(flow, sys):
     """NF(den) - A_{p-1}(z1, z2) NF(num) over den, from the per-flow symbolic
     fiber normal forms (see _fibre_normal_forms).
@@ -462,15 +442,10 @@ def derive_new2_form(flow, sys, fiber, coef=None):
     form of 1 - coef h, over h's den: by linearity, NF(den) - coef NF(num)
     with the per-flow symbolic forms set at z = c."""
     (den_nf, num_nf), den, cp = _fibre_normal_forms(flow, sys)
-    gf, p = cp.ring, sys.p
     if coef is None:
         coef = sys.hasse_at(fiber.c1, fiber.c2)
-    c1, c2 = fiber.c1.val % p, fiber.c2.val % p
-    acc = {}
-    _specialise(den_nf, c1, c2, 1, acc, p)
-    _specialise(num_nf, c1, c2, -(gf.from_int(1) * coef).val, acc, p)
-    num = MultiPoly._raw({k: gf.from_int(v) for k, v in acc.items() if v % p})
-    return ChartElement(cp, num, den)
+    c = {"z1": fiber.c1, "z2": fiber.c2}
+    return ChartElement(cp, den_nf.at(c) - num_nf.at(c) * coef, den)
 
 
 # ---------------------------------------------------------------------------

@@ -116,18 +116,13 @@ class PoissonStructure:
 
     def bracket(self, f, g):
         f, g = self.chart.elem(f), self.chart.elem(g)
+        dg = {nj: elem_deriv(g, nj) for nj in self.chart.vars}
         out = self.chart.zero()
         for ni in self.chart.vars:
             dfi = elem_deriv(f, ni)
-            if dfi.is_zero():
-                continue
-            for nj in self.chart.vars:
-                if ni == nj:
-                    continue
-                dgj = elem_deriv(g, nj)
-                if dgj.is_zero():
-                    continue
-                out = out + dfi * dgj * self.generator_bracket(ni, nj)
+            for nj, dgj in dg.items():
+                if ni != nj and not dfi.is_zero() and not dgj.is_zero():
+                    out = out + dfi * dgj * self.generator_bracket(ni, nj)
         return out
 
     def jacobi_defect(self, f, g, h):
@@ -186,7 +181,7 @@ class ArithmeticFlow(FrobeniusLift):
 
     def phi_poly(self, f):
         """phi of a polynomial: substitute each variable by its phi image."""
-        return substitute_terms(f.terms, self.chart.zero(), self.chart.const,
+        return substitute_terms(f, self.chart.zero(), self.chart.elem,
                                 lambda name, e: self.phi_var(name) ** e)
 
     def delta_poly(self, f):

@@ -19,21 +19,11 @@ def elem_deriv(e, name):
 
 def _merge_indices(t1, t2):
     """Concatenate sorted index tuples; return (sign, merged) or (0, None)."""
-    if not t1:
-        return 1, t2
-    if not t2:
-        return 1, t1
-    if set(t1) & set(t2):
+    seq = t1 + t2
+    if len(set(seq)) < len(seq):
         return 0, None
-    merged = sorted(t1 + t2)
-    seq = list(t1) + list(t2)
-    # sign of the permutation sorting seq (small tuples, count inversions)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign, tuple(merged)
+    inversions = sum(a > b for i, a in enumerate(seq) for b in seq[i + 1:])
+    return (-1) ** inversions, tuple(sorted(seq))
 
 
 class DiffForm:
@@ -136,10 +126,6 @@ class DiffForm:
                                      {merged: de * sign})
         return out
 
-    def map_coeffs(self, fn):
-        return DiffForm(self.chart, self.degree,
-                        {idx: fn(e) for idx, e in self.comps.items()})
-
     def reduce_mod_p(self):
         red = {idx: e.reduce_mod_p() for idx, e in self.comps.items()}
         chart = self.chart.reduce_mod_p()
@@ -230,9 +216,7 @@ class FiberFrame:
 
     def __init__(self, chart, a):
         a1, a2, a3 = a
-        x1 = chart.var("x1")
-        x2 = chart.var("x2")
-        x3 = chart.var("x3")
+        x1, x2, x3 = (chart.var(n) for n in ("x1", "x2", "x3"))
         self.chart = chart
         self.v = (x2 * x3 * (a2 - a3), x3 * x1 * (a3 - a1), x1 * x2 * (a1 - a2))
         self.pi = {(0, 1): x3, (1, 2): x1, (0, 2): -x2}

@@ -1,26 +1,21 @@
 """Sparse multivariate polynomials and localization charts.
 
-Polynomials are dicts mapping sparse exponent keys (sorted tuples of
-(variable name, exponent) pairs) to nonzero coefficients.  Coefficients may
-be plain ints, fractions.Fraction, or TruncatedPadic; mixed int arithmetic
-coerces naturally.
+A MultiPoly keeps its coefficient ring (ZZ, QQ or Zp(p, N)) once, as
+f.ring, and its terms as one dict from packed exponent keys to ints,
+Fractions or residues in [1, p^N).  A key gives variable i of one
+process-wide, append-only table of names the bits [i*w, (i+1)*w), w the
+polynomial's field width (Monagan & Pearce, CASC 2007), so adding two keys
+multiplies the monomials; a product whose exponent bound would pass 2^w - 1
+repacks its operands wider.  TruncatedPadic appears only at the boundary:
+MultiPoly(terms) takes a dict from sorted tuples of (name, exponent) pairs
+to int, Fraction and TruncatedPadic values, and f.terms is a read-only view
+in that format.  Operands from different rings meet in their ring_join.
 
-The product of two polynomials packs each exponent key into one int over the
-sorted union of the operands' variables (Monagan & Pearce, "Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007), multiplies plain-int or Fraction coefficients into one accumulator and
-reduces each result coefficient once, then unpacks the nonzero results to the
-key format above.  Over Z/p^N it groups each operand's terms by the p-adic
-valuation of their coefficient and skips every pair of groups whose
-valuations add up to N or more, since those products are 0 mod p^N; so a
-caller that applies a factor of p before a product, not after, saves work.
-A square sums each unordered pair of terms once, and a one-term operand only
-shifts the other's keys.  On every path, if either operand has TruncatedPadic
-coefficients, all of them must share one p, and the product lies in Z/p^N
-with N the least precision among them; int coefficients are exact and are
-taken to that precision.  So an int coefficient next to TruncatedPadic ones
-yields TruncatedPadic results, and mixed precisions truncate to the minimum,
-the rule TruncatedPadic arithmetic already follows.
+A product reduces each result coefficient once.  Over Z/p^N it groups each
+operand's terms by the p-adic valuation of their coefficient and skips the
+pairs of groups whose valuations add up to N or more, since those products
+are 0 mod p^N; so a caller that applies a factor of p before a product, not
+after, saves work.
 
 A Chart declares an ordered variable list and a list of denominator factors
 that are units on the chart; a ChartElement is numerator / prod(factor_i ^
@@ -32,15 +27,47 @@ each power once, is the substitution loop behind MultiPoly.substitute and phi.
 
 from __future__ import annotations
 
+import re
+from collections.abc import Mapping
 from fractions import Fraction
+from functools import reduce
 
-from .padic import TruncatedPadic
+from .padic import TruncatedPadic, PrecisionError
 
 
 # ---------------------------------------------------------------------------
 # coefficient rings
 
-class ZZ:
+class _Ring:
+    """A coefficient ring, interned: equal parameters give one object.
+    value(c) stores an int or ring element c, decode(c) gives it back, and
+    modulus is 0 for the exact rings."""
+    _interned = {}
+    p = prec = None
+    modulus = 0
+
+    def __new__(cls, *params):
+        ring = _Ring._interned.get((cls, params))
+        if ring is None:
+            ring = _Ring._interned[cls, params] = object.__new__(cls)
+            ring._params = params
+            ring._setup(*params)
+        return ring
+
+    def __reduce__(self):
+        # a copy or an unpickled ring is the interned one
+        return type(self), self._params
+
+    def _setup(self):
+        pass
+
+    def value(self, c):
+        return c
+
+    decode = value
+
+
+class ZZ(_Ring):
     """Exact integers."""
     name = "ZZ"
 
@@ -56,7 +83,7 @@ class ZZ:
         raise ZeroDivisionError("%r is not a unit in ZZ" % (c,))
 
 
-class QQ:
+class QQ(_Ring):
     """Exact rationals."""
     name = "QQ"
 
@@ -69,13 +96,17 @@ class QQ:
     def inv(self, c):
         return 1 / Fraction(c)
 
+    def value(self, c):
+        return Fraction(c)
 
-class Zp:
+
+class Zp(_Ring):
     """Z/p^prec with explicit precision; prec=1 is the field F_p."""
 
-    def __init__(self, p, prec):
+    def _setup(self, p, prec):
         self.p = p
         self.prec = prec
+        self.modulus = p ** prec
         self.name = "Z/%d^%d" % (p, prec)
 
     def from_int(self, n):
@@ -88,228 +119,373 @@ class Zp:
         return self.coerce(c).inv()
 
     def coerce(self, c):
-        if isinstance(c, TruncatedPadic):
-            return c
-        return TruncatedPadic(self.p, self.prec, c)
+        return c if isinstance(c, TruncatedPadic) else self.from_int(c)
 
-    def __eq__(self, other):
-        return isinstance(other, Zp) and (self.p, self.prec) == (other.p, other.prec)
+    def value(self, c):
+        """The residue in [0, p^N) of an int or of an element of Z/p^M, M >= N."""
+        c = c.val if isinstance(c, TruncatedPadic) else c
+        return c if 0 <= c < self.modulus else c % self.modulus
 
-    def __hash__(self):
-        return hash((self.p, self.prec))
+    def decode(self, c):
+        return TruncatedPadic._make(self.p, self.prec, c)
+
+
+class _NoRing:
+    """The ring of a term dict whose values share none: any use raises."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def __getattr__(self, name):
+        raise self.error
+
+
+def ring_join(r, s):
+    """The ring of a result whose operands lie in r and s.
+
+    ZZ joins every ring: an int is exact, and is taken into QQ or Z/p^N.
+    Z/p^N and Z/p^M join to Z/p^min(N, M): a result is known only to the
+    least precision of its operands, so a zero from mixed precisions is zero
+    at that precision, and its ring says so.  QQ with Z/p^N raises
+    TypeError, and Z/p^N with Z/q^M for p != q raises ValueError."""
+    if r is s or s is _ZZ:
+        return r
+    if r is _ZZ:
+        return s
+    if r.p is None or s.p is None:
+        raise TypeError("cannot mix %s and %s coefficients" % (r.name, s.name))
+    if r.p != s.p:
+        raise ValueError("prime mismatch: %d vs %d" % (r.p, s.p))
+    return r if r.prec <= s.prec else s
+
+
+_ZZ = ZZ()
+_SCALARS = (int, Fraction, TruncatedPadic)
+
+
+def _ring_of(c):
+    if isinstance(c, TruncatedPadic):
+        return Zp(c.p, c.prec)
+    if isinstance(c, int):
+        return _ZZ
+    if isinstance(c, Fraction):
+        return QQ()
+    raise TypeError("%r is not a coefficient" % (c,))
+
+
+def _residues(t):
+    """(ring, nonzero stored values) of a dict of coefficients, in their join."""
+    try:
+        ring = reduce(ring_join, map(_ring_of, t.values()), _ZZ)
+    except (TypeError, ValueError) as e:
+        return _NoRing(e), t
+    return ring, {k: r for k, c in t.items() if (r := ring.value(c))}
+
+
+# ---------------------------------------------------------------------------
+# packed exponent keys
+
+_WIDTH = 16           # the field width of a new polynomial, in bits
+_INDEX = {}           # variable name -> field number, append-only
+_NAMES = []           # field number -> variable name
+
+
+def _index(name):
+    i = _INDEX.get(name)
+    if i is None:
+        i = _INDEX[name] = len(_NAMES)
+        _NAMES.append(name)
+    return i
+
+
+def _width(bound):
+    """The field width for exponents up to bound."""
+    w = _WIDTH
+    while bound >> w:
+        w *= 2
+    return w
+
+
+def _pack(pairs, w):
+    return sum(e << (_index(name) * w) for name, e in pairs)
+
+
+def _exponents(k, w):
+    """The (field number, exponent) pairs of packed key k."""
+    mask = (1 << w) - 1
+    i = 0
+    while k:
+        if k & mask:
+            yield i, k & mask
+        k >>= w
+        i += 1
+
+
+def _fields(k, w):
+    """Packed key k as its (name, exponent) pairs, sorted by name."""
+    return sorted((_NAMES[i], e) for i, e in _exponents(k, w))
+
+
+def _poly(t, ring, w, bound):
+    f = object.__new__(MultiPoly)
+    f._t, f.ring, f._w, f._b = t, ring, w, bound
+    return f
+
+
+class _Terms(Mapping):
+    """The terms of a polynomial, read-only: tuple keys of (name, exponent)
+    pairs sorted by name, and int, Fraction or TruncatedPadic values."""
+
+    __slots__ = ("_f",)
+
+    def __init__(self, f):
+        self._f = f
+
+    def __len__(self):
+        return len(self._f._t)
+
+    def __iter__(self):
+        return (tuple(_fields(k, self._f._w)) for k in self._f._t)
+
+    def __getitem__(self, key):
+        f = self._f
+        if any(name not in _INDEX or e >> f._w for name, e in key):
+            raise KeyError(key)
+        return f.ring.decode(f._t[_pack(key, f._w)])
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 # ---------------------------------------------------------------------------
 # sparse polynomials
 
 class MultiPoly:
-    """Sparse polynomial; terms maps exponent keys to nonzero coefficients."""
+    """Sparse polynomial over one coefficient ring, f.ring; f.terms is a
+    read-only view of its terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t", "ring", "_w", "_b")
 
     def __init__(self, terms=None):
-        self.terms = {}
-        if terms:
-            for key, c in dict(terms).items():
-                if not _coeff_is_zero(c):
-                    self.terms[key] = c
+        """From tuple keys and int, Fraction or TruncatedPadic values, in the
+        join of their rings; values with no join raise where first used."""
+        items = dict(terms).items() if terms else ()
+        self._b = max((e for key, _ in items for _, e in key), default=0)
+        self._w = _width(self._b)
+        self.ring, self._t = _residues({_pack(key, self._w): c for key, c in items})
 
-    @classmethod
-    def _raw(cls, terms):
-        obj = object.__new__(cls)
-        obj.terms = terms
-        return obj
+    _raw = classmethod(lambda cls, terms: cls(terms))
 
-    @classmethod
-    def const(cls, c):
-        if _coeff_is_zero(c):
-            return cls._raw({})
-        return cls._raw({(): c})
-
-    @classmethod
-    def var(cls, name, one=1):
-        return cls._raw({((name, 1),): one})
+    @property
+    def terms(self):
+        return _Terms(self)
 
     @classmethod
     def monomial(cls, c, **exps):
-        key = tuple(sorted((n, e) for n, e in exps.items() if e))
-        if _coeff_is_zero(c):
-            return cls._raw({})
-        return cls._raw({key: c})
+        ring, bound = _ring_of(c), max(exps.values(), default=0)
+        r, w = ring.value(c), _width(bound)
+        return _poly({_pack(exps.items(), w): r} if r else {}, ring, w, bound)
+
+    const = monomial
+
+    @classmethod
+    def var(cls, name, one=1):
+        return cls.monomial(one, **{name: 1})
 
     def is_zero(self):
-        return not self.terms
+        return not self._t
 
     def variables(self):
         out = set()
-        for key in self.terms:
-            for name, _ in key:
-                out.add(name)
+        for k in self._t:
+            out.update(name for name, _ in _fields(k, self._w))
         return out
 
+    def _over_width(self, ring, w):
+        """This polynomial over ring, repacked at field width w."""
+        f = self.over(ring)
+        if w == f._w:
+            return f
+        t = {sum(e << (i * w) for i, e in _exponents(k, f._w)): c
+             for k, c in f._t.items()}
+        return _poly(t, ring, w, f._b)
+
+    def _unify(self, other):
+        """self and polynomial other in the join of their rings, at one width."""
+        if self.ring is other.ring and self._w == other._w:
+            return self, other
+        ring, w = ring_join(self.ring, other.ring), max(self._w, other._w)
+        return self._over_width(ring, w), other._over_width(ring, w)
+
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedPadic)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            if key in out:
-                s = out[key] + c
-                if _coeff_is_zero(s):
-                    del out[key]
-                else:
-                    out[key] = s
+        f, g = self._unify(other)
+        m = f.ring.modulus
+        out = dict(f._t)
+        for k, c in g._t.items():
+            # residues lie in [1, m), so a sum is 0 mod m iff it is m; an
+            # exact sum (m = 0) is zero iff it is 0
+            s = out.get(k, 0) + c
+            if s == m:
+                del out[k]
             else:
-                out[key] = c
-        return MultiPoly._raw(out)
+                out[k] = s - m if 0 < m < s else s
+        return _poly(out, f.ring, f._w, max(f._b, g._b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._raw({k: -c for k, c in self.terms.items()})
+        m = self.ring.modulus
+        t = {k: m - c for k, c in self._t.items()} if m else \
+            {k: -c for k, c in self._t.items()}
+        return _poly(t, self.ring, self._w, self._b)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedPadic)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self + (-other)
+        other = _operand(other)
+        return NotImplemented if other is None else self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        """Scalar or polynomial product.
-
-        A polynomial product runs through the packed-exponent kernel: keys
-        are packed into ints, coefficients multiplied as plain ints (or
-        Fractions) and each result reduced once.  With TruncatedPadic
-        coefficients in either operand the product is reduced mod p^N, N the
-        least precision among them; an int coefficient is exact and taken to
-        that precision, so int and TruncatedPadic coefficients in one operand
-        give TruncatedPadic results, and mixed precisions truncate to the
-        minimum.  Mismatched primes raise ValueError."""
-        if isinstance(other, (int, Fraction, TruncatedPadic)):
-            if _coeff_is_zero(other):
-                return MultiPoly._raw({})
-            return MultiPoly._raw(
-                {k: v for k, v in ((k, c * other) for k, c in self.terms.items())
-                 if not _coeff_is_zero(v)})
+        """Scalar or polynomial product, in the join of the operands' rings;
+        a polynomial product runs through the kernel _mul_terms."""
+        if isinstance(other, _SCALARS):
+            return self._scale(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return MultiPoly._raw({})
-        return MultiPoly._raw(_mul_terms(self.terms, other.terms))
+        f, g = self._unify(other)
+        ring, w, bound = f.ring, f._w, f._b + g._b
+        if bound >> w:
+            w, square = _width(bound), f is g
+            f = f._over_width(ring, w)
+            g = f if square else g._over_width(ring, w)
+        return _poly(_mul_terms(f._t, g._t, ring), ring, w, bound)
 
     __rmul__ = __mul__
+
+    def _scale(self, c):
+        ring = ring_join(self.ring, _ring_of(c))
+        f, r, m = self.over(ring), ring.value(c), ring.modulus
+        t = {k: v for k, x in f._t.items() if (v := x * r % m if m else x * r)}
+        return _poly(t, ring, f._w, f._b)
 
     def __pow__(self, n):
         return _power(self, n, MultiPoly.const(1))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedPadic)):
-            other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return (self - other).is_zero()
+        f, g = self._unify(other)
+        return f._t == g._t
 
     def __hash__(self):
         return hash(frozenset(self.terms))
 
+    def over(self, ring):
+        """This polynomial with its coefficients read in ring: ZZ in QQ or
+        Z/p^N, and Z/p^M in Z/p^N.  For N < M that reduces each residue, and
+        for N > M it keeps each residue as it is, the lift with top digits 0."""
+        src = self.ring
+        if ring is src:
+            return self
+        if src is not _ZZ and (ring.p is None or ring.p != src.p):
+            raise TypeError("cannot read %s in %s" % (src.name, ring.name))
+        t = {k: r for k, c in self._t.items() if (r := ring.value(c))}
+        return _poly(t, ring, self._w, self._b)
+
     def deriv(self, name):
-        out = {}
-        for key, c in self.terms.items():
-            d = dict(key)
-            e = d.get(name, 0)
-            if not e:
-                continue
-            if e == 1:
-                del d[name]
-            else:
-                d[name] = e - 1
-            nc = c * e
-            # d keeps the sorted order of key, and distinct keys have
-            # distinct derivative keys, so nothing needs merging
-            if not _coeff_is_zero(nc):
-                out[tuple(d.items())] = nc
-        return MultiPoly._raw(out)
+        w, m = self._w, self.ring.modulus
+        s, mask = _index(name) * w, (1 << w) - 1
+        t = {k - (1 << s): d for k, c in self._t.items()
+             if (e := (k >> s) & mask) and (d := c * e % m if m else c * e)}
+        return _poly(t, self.ring, w, self._b)
 
     def substitute(self, mapping):
         """Substitute variables by polynomials (or leave them in place)."""
         return substitute_terms(
-            self.terms, MultiPoly._raw({}), MultiPoly.const,
+            self, _poly({}, self.ring, _WIDTH, 0), lambda c: c,
             lambda name, e: (mapping[name] ** e if name in mapping
-                             else MultiPoly._raw({((name, e),): 1})))
+                             else MultiPoly.monomial(1, **{name: e})))
+
+    def at(self, values):
+        """The polynomial with each variable named in values set to that
+        scalar, in the join of the rings; the other variables stay."""
+        ring = reduce(ring_join, map(_ring_of, values.values()), self.ring)
+        f, m = self.over(ring), ring.modulus
+        mask = (1 << f._w) - 1
+        point = [(_index(name) * f._w, ring.value(v)) for name, v in values.items()]
+        acc = {}
+        for k, c in f._t.items():
+            for s, v in point:
+                if e := (k >> s) & mask:
+                    c *= pow(v, e, m) if m else v ** e
+                    k -= e << s
+            acc[k] = acc.get(k, 0) + c
+        t = {k: r for k, c in acc.items() if (r := c % m if m else c)}
+        return _poly(t, ring, f._w, f._b)
 
     def eval(self, values):
         """Evaluate with all variables bound to coefficients."""
-        total = None
-        for key, c in self.terms.items():
-            t = c
-            for name, e in key:
-                if name not in values:
-                    raise KeyError("no value for variable %r" % name)
-                t = t * values[name] ** e
-            total = t if total is None else total + t
-        if total is None:
-            return 0
-        return total
+        names = self.variables()
+        if not names <= values.keys():
+            raise KeyError("no value for variable %r" % min(names - values.keys()))
+        f = self.at({name: values[name] for name in names})
+        return f.ring.decode(f._t.get(0, 0))
 
     def map_coeffs(self, fn):
-        out = {}
-        for key, c in self.terms.items():
-            nc = fn(c)
-            if not _coeff_is_zero(nc):
-                out[key] = nc
-        return MultiPoly._raw(out)
+        """fn of each int, Fraction or TruncatedPadic coefficient, in the join
+        of the results' rings."""
+        dec = self.ring.decode
+        ring, t = _residues({k: fn(dec(c)) for k, c in self._t.items()})
+        return _poly(t, ring, self._w, self._b)
 
     def frobenius_exponents(self, p):
         """Scale all exponents by p (x -> x^p substitution)."""
-        return MultiPoly._raw(
-            {tuple((n, e * p) for n, e in key): c for key, c in self.terms.items()})
+        bound = self._b * p
+        f = self._over_width(self.ring, max(self._w, _width(bound)))
+        return _poly({k * p: c for k, c in f._t.items()}, f.ring, f._w, bound)
 
     def exact_div_p(self, p, k=1):
-        """Divide every coefficient by p^k exactly."""
-        def div(c):
-            if isinstance(c, TruncatedPadic):
-                return c.exact_div_p(k)
-            pk = p ** k
-            if c % pk != 0:
-                raise ArithmeticError("coefficient %r not divisible by %d" % (c, pk))
-            return c // pk
-        return MultiPoly._raw({key: div(c) for key, c in self.terms.items()})
+        """Divide every coefficient by p^k exactly; over Z/p^N the result
+        lies in Z/p^(N-k)."""
+        ring, pk = self.ring, p ** k
+        if ring.modulus:
+            if ring.prec <= k:
+                raise PrecisionError("division by p^%d from precision %d"
+                                     % (k, ring.prec))
+            ring = Zp(ring.p, ring.prec - k)
+        if any(c % pk for c in self._t.values()):
+            raise ArithmeticError("coefficients not divisible by %d" % pk)
+        return _poly({key: c // pk for key, c in self._t.items()}, ring,
+                     self._w, self._b)
 
     def total_degree(self):
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in key) for key in self.terms)
+        return max((sum(e for _, e in _exponents(k, self._w)) for k in self._t),
+                   default=0)
 
     def degree_in(self, name):
-        deg = 0
-        for key in self.terms:
-            for n, e in key:
-                if n == name and e > deg:
-                    deg = e
-        return deg
+        s, mask = _index(name) * self._w, (1 << self._w) - 1
+        return max(((k >> s) & mask for k in self._t), default=0)
 
     def coefficient_of(self, name, power):
         """The coefficient of name^power, a polynomial in the other variables."""
-        out = {}
-        for key, c in self.terms.items():
-            d = dict(key)
-            if d.get(name, 0) == power:
-                d.pop(name, None)
-                out[tuple(sorted(d.items()))] = c
-        return MultiPoly._raw(out)
+        s, mask = _index(name) * self._w, (1 << self._w) - 1
+        t = {k - (power << s): c for k, c in self._t.items()
+             if (k >> s) & mask == power}
+        return _poly(t, self.ring, self._w, self._b)
 
     def __str__(self):
-        if not self.terms:
+        if not self._t:
             return "0"
+        terms = sorted(((tuple(_fields(k, self._w)), c) for k, c in self._t.items()),
+                       key=lambda kc: (-sum(e for _, e in kc[0]), kc[0]))
         parts = []
-        for key in sorted(self.terms, key=lambda k: (-sum(e for _, e in k), k)):
-            c = self.terms[key]
-            cs = str(c.val) if isinstance(c, TruncatedPadic) else str(c)
+        for key, c in terms:
+            cs = str(c)
             mono = "*".join(
                 name if e == 1 else "%s^%d" % (name, e) for name, e in key)
             parts.append(cs if not mono else (mono if cs == "1" else cs + "*" + mono))
@@ -318,15 +494,22 @@ class MultiPoly:
     __repr__ = __str__
 
 
-def substitute_terms(terms, zero, const, power):
-    """zero + the sum of const(c) * prod power(name, e) over the terms c *
-    prod name^e, each power formed once: the substitution loop of both
-    MultiPoly.substitute and ArithmeticFlow.phi_poly."""
+def _operand(x):
+    """x as a polynomial, or None if it is neither one nor a coefficient."""
+    if isinstance(x, MultiPoly):
+        return x
+    return MultiPoly.const(x) if isinstance(x, _SCALARS) else None
+
+
+def substitute_terms(f, zero, lift, power):
+    """zero + the sum over the terms c * prod name^e of f of lift(c) * prod
+    power(name, e), c a constant of f's ring, each power formed once: the
+    substitution loop of MultiPoly.substitute and ArithmeticFlow.phi_poly."""
     out = zero
     powers = {}
-    for key, c in terms.items():
-        term = const(c)
-        for name, e in key:
+    for k, c in f._t.items():
+        term = lift(_poly({0: c}, f.ring, _WIDTH, 0))
+        for name, e in _fields(k, f._w):
             if (name, e) not in powers:
                 powers[name, e] = power(name, e)
             term = term * powers[name, e]
@@ -348,62 +531,39 @@ def _power(base, n, one):
     return result
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, TruncatedPadic):
-        return c.val == 0
-    return c == 0
+def _mul_terms(t1, t2, ring):
+    """The product of two nonempty term dicts over ring, at one width.
 
-
-def _mul_terms(t1, t2):
-    """The product of two nonempty term dicts, by packed exponent vectors.
-
-    Variable i of the sorted union owns bits [i*w, (i+1)*w) of a packed key,
-    with w the bit length of the sum of the operands' maximum exponents, so
-    no exponent of the product overflows its field and adding two packed
-    keys multiplies the monomials.  Each operand's packed terms are grouped
-    in buckets by the p-adic valuation v of their coefficient, and only the
-    bucket pairs with v1 + v2 < N are multiplied, N the precision of the
-    result: the pairs skipped are exactly those whose product is 0 mod p^N.
-    Exact coefficients form one bucket that is always multiplied.  A square
-    (t1 is t2) packs once and accumulates each unordered pair once: the
-    triangle of a bucket with itself, the off-diagonal pairs and every pair
-    across two buckets doubled.  A one-term operand shifts the other's keys
-    by its monomial, with no packing.  Every path takes its coefficient rule
-    from _coefficient_rule, so all give the same result as the double loop
-    over packed pairs."""
-    value, nonzero, p, bound = _coefficient_rule(t1, t2)
+    Over Z/p^N only the pairs of valuation buckets with v1 + v2 < N are
+    multiplied, exactly the pairs whose product is not 0 mod p^N; exact
+    coefficients form one bucket.  A square (t1 is t2) accumulates each
+    unordered pair once: the triangle of a bucket with itself, the
+    off-diagonal pairs and every pair across two buckets doubled.  A one-term
+    operand shifts the other's keys, skipping the products that vanish."""
+    m = ring.modulus
     if len(t2) == 1:
         t1, t2 = t2, t1
     if len(t1) == 1:
-        ((mono, c1),) = t1.items()
-        c1 = value(c1)
-        return dict(nonzero((_shift_key(k, mono) if mono else k, c1 * value(c))
-                            for k, c in t2.items()))
-    names = set()
-    width = (_max_exponent(t1, names) + _max_exponent(t2, names)).bit_length()
-    fields = [(name, i * width) for i, name in enumerate(sorted(names))]
-    shift = dict(fields)
-    mask = (1 << width) - 1
-
-    def pack(terms):
-        """[(v, [(packed key, value), ...]), ...] by ascending v < bound."""
-        packed = [(sum(e << shift[name] for name, e in key), value(c))
-                  for key, c in terms.items()]
-        if p is None:
-            return [(0, packed)]
-        buckets = {}
-        for k, c in packed:
-            v, r = 0, c
-            while v < bound and not r % p:
-                v, r = v + 1, r // p
-            if v < bound:
-                buckets.setdefault(v, []).append((k, c))
-        return sorted(buckets.items())
-
-    left = pack(t1)
+        ((k1, c1),) = t1.items()
+        if not m:
+            return {k1 + k: c1 * c for k, c in t2.items()}
+        # c1 * c is 0 mod p^N iff c is 0 mod q = p^(N - v(c1)); for a unit
+        # c1 that never happens
+        q, r = m, c1
+        while not r % ring.p:
+            q, r = q // ring.p, r // ring.p
+        return {k1 + k: c1 * c % m for k, c in t2.items() if q == m or c % q}
     square = t1 is t2
-    right = left if square else pack(t2)
+    if m:
+        bound = ring.prec
+        left = _buckets(t1, ring.p)
+        right = left if square else _buckets(t2, ring.p)
+    else:
+        bound = 1
+        left = [(0, list(t1.items()))]
+        right = left if square else [(0, list(t2.items()))]
     acc = {}
+    get = acc.get
     for a, (v1, terms1) in enumerate(left):
         for b in range(a if square else 0, len(right)):
             v2, terms2 = right[b]
@@ -412,70 +572,28 @@ def _mul_terms(t1, t2):
             triangle = square and a == b
             for i, (k1, c1) in enumerate(terms1):
                 if triangle:
-                    acc[k1 + k1] = acc.get(k1 + k1, 0) + c1 * c1
+                    acc[k1 + k1] = get(k1 + k1, 0) + c1 * c1
                     terms2 = terms1[i + 1:]
                 if square:
                     c1 *= 2
                 for k2, c2 in terms2:
                     k = k1 + k2
-                    if k in acc:
-                        acc[k] += c1 * c2
-                    else:
-                        acc[k] = c1 * c2
-    return {tuple([(name, e) for name, s in fields if (e := (k >> s) & mask)]): c
-            for k, c in nonzero(acc.items())}
+                    acc[k] = get(k, 0) + c1 * c2
+    if m:
+        return {k: r for k, c in acc.items() if (r := c % m)}
+    return {k: c for k, c in acc.items() if c}
 
 
-def _coefficient_rule(t1, t2):
-    """(value, nonzero, p, bound) for the product of t1 and t2: value turns a
-    coefficient into the plain int or Fraction that is multiplied, nonzero
-    turns (key, product sum) pairs into (key, result coefficient) pairs,
-    dropping zeros, and two values are multiplied only if their p-adic
-    valuations add up to less than bound.  With TruncatedPadic coefficients
-    in either operand they must share one p (else ValueError) and the results
-    lie in Z/p^N, N the least precision among them and the bound; int
-    coefficients are exact and take N.  Exact products have p None and bound
-    1: every value counts as valuation 0."""
-    padics = [c for c in (*t1.values(), *t2.values())
-              if isinstance(c, TruncatedPadic)]
-    if not padics:
-        return ((lambda c: c), (lambda pairs: ((k, c) for k, c in pairs if c)),
-                None, 1)
-    p = padics[0].p
-    for c in padics:
-        if c.p != p:
-            raise ValueError("prime mismatch: %d vs %d" % (p, c.p))
-    prec = min(c.prec for c in padics)
-    m, make = p ** prec, TruncatedPadic._make
-    return _residue, (lambda pairs: ((k, make(p, prec, r))
-                                     for k, c in pairs if (r := c % m))), p, prec
-
-
-def _shift_key(key, mono):
-    """The key of the product of the monomials key and mono."""
-    d = dict(key)
-    for name, e in mono:
-        d[name] = d.get(name, 0) + e
-    return tuple(sorted(d.items()))
-
-
-def _max_exponent(terms, names):
-    """The largest exponent in terms; adds the variables met to names."""
-    top = 0
-    for key in terms:
-        for name, e in key:
-            names.add(name)
-            if e > top:
-                top = e
-    return top
-
-
-def _residue(c):
-    if isinstance(c, TruncatedPadic):
-        return c.val
-    if isinstance(c, int):
-        return c
-    raise TypeError("cannot multiply %r by p-adic coefficients" % (c,))
+def _buckets(t, p):
+    """[(v, [(key, c), ...]), ...] by ascending p-adic valuation v of the
+    nonzero residues c."""
+    buckets = {}
+    for k, c in t.items():
+        v, r = 0, c
+        while not r % p:
+            v, r = v + 1, r // p
+        buckets.setdefault(v, []).append((k, c))
+    return sorted(buckets.items())
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +614,14 @@ class Chart:
             if f.is_zero():
                 raise ChartError("zero denominator factor")
         self._mod_p_chart = None
+        self._zero = MultiPoly.const(self.ring.from_int(0))
 
     @property
     def nfac(self):
         return len(self.factors)
 
     def zero(self):
-        return ChartElement(self, MultiPoly._raw({}), (0,) * self.nfac)
+        return ChartElement(self, self._zero, (0,) * self.nfac)
 
     def one(self):
         return self.const(1)
@@ -542,12 +661,7 @@ class Chart:
         return self._mod_p_chart
 
 
-def reduce_poly_mod_p(poly, gf):
-    def red(c):
-        if isinstance(c, TruncatedPadic):
-            return c.truncate(1)
-        return gf.from_int(c)
-    return poly.map_coeffs(red)
+reduce_poly_mod_p = MultiPoly.over
 
 
 class ChartElement:
@@ -568,14 +682,15 @@ class ChartElement:
         return None
 
     def _common(self, o):
-        """Both numerators over the least common denominator."""
+        """Both numerators over the least common denominator; a zero
+        numerator stays as it is."""
         den = tuple(max(a, b) for a, b in zip(self.den, o.den))
         n1 = self.num
         n2 = o.num
         for i, f in enumerate(self.chart.factors):
-            if den[i] > self.den[i]:
+            if den[i] > self.den[i] and not n1.is_zero():
                 n1 = n1 * f ** (den[i] - self.den[i])
-            if den[i] > o.den[i]:
+            if den[i] > o.den[i] and not n2.is_zero():
                 n2 = n2 * f ** (den[i] - o.den[i])
         return n1, n2, den
 
@@ -643,8 +758,7 @@ class ChartElement:
         n1, n2, _ = self._common(o)
         return (n1 - n2).is_zero()
 
-    def __hash__(self):
-        raise TypeError("chart elements are unhashable")
+    __hash__ = None
 
     def is_zero(self):
         return self.num.is_zero()
@@ -697,10 +811,7 @@ class SphereNF:
         one = chart.ring.from_int(1)
         self.sub = (-MultiPoly.monomial(one, x2=2) - MultiPoly.monomial(one, x3=2)
                     + c2)
-        self._check_factors()
-
-    def _check_factors(self):
-        for f in self.chart.factors:
+        for f in chart.factors:
             if self.nf_poly(f).is_zero():
                 raise ChartError("chart factor %s vanishes on the surface" % f)
 
@@ -762,20 +873,18 @@ def _reduce_var_squared(poly, name, rhs):
     """Rewrite name^2 -> rhs until the degree in name is <= 1."""
     rhs_pows = {0: MultiPoly.const(1), 1: rhs}
     while True:
-        high = {k: c for k, c in poly.terms.items()
-                if dict(k).get(name, 0) >= 2}
+        ring, w = poly.ring, poly._w
+        s, mask = _index(name) * w, (1 << w) - 1
+        high = [(k, c) for k, c in poly._t.items() if (k >> s) & mask >= 2]
         if not high:
             return poly
-        acc = MultiPoly._raw({k: c for k, c in poly.terms.items() if k not in high})
-        for key, c in high.items():
-            d = dict(key)
-            e = d.pop(name)
-            q, r = divmod(e, 2)
-            if r:
-                d[name] = 1
+        acc = _poly({k: c for k, c in poly._t.items() if (k >> s) & mask < 2},
+                    ring, w, poly._b)
+        for k, c in high:
+            q = ((k >> s) & mask) >> 1
             if q not in rhs_pows:
                 rhs_pows[q] = rhs ** q
-            rest = MultiPoly._raw({tuple(sorted(d.items())): c})
+            rest = _poly({k - (q << (s + 1)): c}, ring, w, poly._b)
             acc = acc + rest * rhs_pows[q]
         poly = acc
 
@@ -793,23 +902,18 @@ def parse_poly(text, ring=None):
     Variable names are letters followed by digits/letters/apostrophes.
     """
     ring = ring or ZZ()
-    tokens = _tokenize(text)
-    pos = [0]
+    tokens = _tokenize(text)[::-1]      # a stack: the next token is last
 
     def peek():
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
+        return tokens[-1] if tokens else None
 
     def take():
-        t = peek()
-        pos[0] += 1
-        return t
+        return tokens.pop() if tokens else None
 
     def parse_expr():
-        t = peek()
-        sign = 1
-        if t in ("+", "-"):
+        sign = -1 if peek() == "-" else 1
+        if peek() in ("+", "-"):
             take()
-            sign = -1 if t == "-" else 1
         node = parse_term() * sign
         while peek() in ("+", "-"):
             op = take()
@@ -826,13 +930,13 @@ def parse_poly(text, ring=None):
 
     def parse_power():
         base = parse_atom()
-        if peek() == "^":
-            take()
-            e = take()
-            if not isinstance(e, int) or e < 0:
-                raise ParseError("exponent must be a nonnegative integer")
-            return base ** e
-        return base
+        if peek() != "^":
+            return base
+        take()
+        e = take()
+        if not isinstance(e, int):
+            raise ParseError("exponent must be a nonnegative integer")
+        return base ** e
 
     def parse_atom():
         t = take()
@@ -848,33 +952,18 @@ def parse_poly(text, ring=None):
         raise ParseError("unexpected token %r" % (t,))
 
     node = parse_expr()
-    if pos[0] != len(tokens):
-        raise ParseError("trailing input at token %r" % (tokens[pos[0]],))
+    if tokens:
+        raise ParseError("trailing input at token %r" % (peek(),))
     return node
+
+
+_TOKEN = re.compile(r"\s*(?:(\d+)|([^\W\d][\w']*)|([-+*^()])|(\S))")
 
 
 def _tokenize(text):
     out = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            out.append(int(text[i:j]))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        elif ch in "+-*^()":
-            out.append(ch)
-            i += 1
-        else:
-            raise ParseError("bad character %r" % ch)
+    for num, name, op, bad in _TOKEN.findall(text):
+        if bad:
+            raise ParseError("bad character %r" % bad)
+        out.append(int(num) if num else name or op)
     return out

@@ -380,3 +380,15 @@ def test_euler_checks_every_sphere_at_once(monkeypatch, capsys):
     spheres = [piece for piece in residual.split("; ")
                if "sphere form" in piece]
     assert len(spheres) == 1 and spheres[0].startswith("p=5 sphere form: ")
+
+
+def test_classical_jet_order_cap(capsys):
+    t0 = time.time()
+    assert cli.main(["jet", "prolong", "--f", "x^2", "--order", "1000"]) == 2
+    assert time.time() - t0 < 1.0
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "classical jet prolong takes order <= 100, got 1000" in err
+    # the cap itself is admitted
+    assert cli.main(["jet", "prolong", "--f", "x^2", "--order", "100"]) == 0
+    assert capsys.readouterr().out.count("delta^") == 101

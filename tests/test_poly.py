@@ -616,3 +616,122 @@ def test_normal_forms_match_sympy_reduced(case):
     _, want = sympy.reduced(gf_to_sympy(f), basis, *X, order="lex", modulus=p)
     got = sympy.Poly(gf_to_sympy(nf.nf_poly(f)), *X, modulus=p)
     assert got == sympy.Poly(want, *X, modulus=p)
+
+
+# ---------------------------------------------------------------------------
+# the packed storage: field widths, the terms view and the coefficient ring
+
+from arithflow.poly import ring_join  # noqa: E402
+
+
+def test_products_past_the_field_width_match_the_double_loop():
+    # a new polynomial packs 16 bits per variable; these products need more
+    x = {(("x1", 70000),): 1}
+    got = MultiPoly(x) * MultiPoly(x)
+    assert_same_terms(got.terms, reference_mul(x, x))
+    assert_same_terms(got.terms, {(("x1", 140000),): 1})
+    top = 2 ** 16 - 1
+    tp = lambda v: TruncatedPadic(5, 3, v)
+    wide = {tuple((name, top) for name in VARS): tp(3), (("x2", 1),): tp(5),
+            (("a", top), ("z1", 2)): tp(7)}
+    other = {(("x1", 1),): tp(2), (("a", top), ("x3", top)): tp(25)}
+    for t1, t2 in ((wide, wide), (wide, other), (other, wide)):
+        got = MultiPoly(t1) * MultiPoly(t2)
+        assert_same_terms(got.terms, reference_mul(t1, t2))
+    f = MultiPoly(wide)
+    assert_same_terms((f * f).terms, reference_mul(wide, wide))
+    # a sum and an equality across two widths
+    g = f * f + MultiPoly(other)
+    assert g - MultiPoly(other) == f * f
+    assert g.degree_in("a") == 2 * top
+
+
+def test_terms_view_gives_tuple_keys_and_the_value_type_of_each_ring():
+    cases = ((parse_poly("3*x2*x1^2 - x3"), ZZ(), int),
+             (parse_poly("3*x2*x1^2 - x3", QQ()), QQ(), Fraction),
+             (parse_poly("3*x2*x1^2 - x3", Zp(7, 2)), Zp(7, 2), TruncatedPadic))
+    for f, ring, kind in cases:
+        assert f.ring is ring
+        terms = dict(f.terms.items())
+        assert set(terms) == {(("x1", 2), ("x2", 1)), (("x3", 1),)}
+        assert all(type(c) is kind for c in terms.values())
+        assert f.terms[(("x1", 2), ("x2", 1))] == 3
+        assert (("x1", 5),) not in f.terms and (("w", 1),) not in f.terms
+        with pytest.raises(TypeError):
+            f.terms[(("x3", 1),)] = 1
+    c = cases[2][0].terms[(("x3", 1),)]
+    assert (c.p, c.prec, c.val) == (7, 2, 48)
+
+
+@settings(max_examples=50, deadline=None)
+@given(operand_pairs())
+def test_len_of_terms_is_the_term_count(pair):
+    for t in pair:
+        f = MultiPoly(t)
+        assert len(f.terms) == len(list(f.terms)) == len(f.terms.items())
+        assert len((f * f).terms) == len(reference_mul(t, t))
+
+
+def test_legacy_dict_takes_the_least_precision_ring():
+    tp = TruncatedPadic
+    f = MultiPoly({(): 2, (("x1", 1),): tp(5, 3, 7), (("x2", 1),): tp(5, 2, 26),
+                   (("x3", 1),): tp(5, 3, 25)})
+    assert f.ring is Zp(5, 2)
+    # 26 = 1 and 25 = 0 mod 5^2, and the int 2 is taken to Z/5^2
+    assert_same_terms(f.terms, {(): tp(5, 2, 2), (("x1", 1),): tp(5, 2, 7),
+                                (("x2", 1),): tp(5, 2, 1)})
+    g = MultiPoly({(): 2, (("x1", 1),): Fraction(1, 2)})
+    assert g.ring is QQ()
+    assert_same_terms(g.terms, {(): Fraction(2), (("x1", 1),): Fraction(1, 2)})
+    assert MultiPoly({(): tp(5, 1, 5)}).ring is Zp(5, 1)
+
+
+def test_ring_join_and_the_precision_of_a_zero():
+    T = TruncatedPadic
+    diff = MultiPoly.const(T(5, 3, 1)) - MultiPoly.const(T(5, 1, 6))
+    assert diff.is_zero() and diff.ring == Zp(5, 1)
+    assert ring_join(ZZ(), Zp(5, 3)) is Zp(5, 3)
+    assert ring_join(Zp(5, 3), Zp(5, 1)) is ring_join(Zp(5, 1), Zp(5, 3)) is Zp(5, 1)
+    assert ring_join(ZZ(), QQ()) is QQ()
+    with pytest.raises(TypeError):
+        ring_join(QQ(), Zp(5, 3))
+    with pytest.raises(ValueError):
+        ring_join(Zp(5, 3), Zp(7, 3))
+    # an int polynomial is taken to the precision of the other operand
+    x = MultiPoly.var("x1")
+    zero = x * 25 + MultiPoly.const(T(5, 2, 0))
+    assert zero.is_zero() and zero.ring is Zp(5, 2)
+    assert (x * 25 - x * T(5, 3, 25)).ring is Zp(5, 3)
+
+
+@st.composite
+def one_ring_polys(draw):
+    """Polynomials in one ring: two equal by distributivity, a third that
+    differs from them by a coefficient that may be zero, and two more."""
+    kind = draw(st.sampled_from(("ZZ", "QQ", "Zp")))
+    if kind == "Zp":
+        p, prec = draw(st.sampled_from((3, 5))), draw(st.integers(1, 3))
+        ring = Zp(p, prec)
+        coeffs = st.integers(1, p ** prec).map(ring.from_int)
+    else:
+        ring, coeffs = (ZZ(), ints) if kind == "ZZ" else (QQ(), fractions)
+    one = MultiPoly.const(ring.from_int(1))
+    a, b, c = (MultiPoly(draw(term_dicts(coeffs, max_size=3))) * one
+               for _ in range(3))
+    e1, e2 = a * (b + c), a * b + a * c
+    e3 = e2 + MultiPoly.monomial(draw(coeffs), x1=1) * draw(st.sampled_from((0, 1)))
+    return ring, [e1, e2, e3, a, b * c]
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_ring_polys())
+def test_equality_is_transitive_within_one_ring(case):
+    ring, polys = case
+    assert all(f.ring is ring for f in polys)
+    assert polys[0] == polys[1]
+    for f in polys:
+        for g in polys:
+            assert (f == g) == (g == f)
+            for h in polys:
+                if f == g and g == h:
+                    assert f == h
