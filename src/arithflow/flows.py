@@ -1,11 +1,12 @@
 """Flows on charts.
 
-A classical flow is a derivation given by its generator images plus a base
-derivation on coefficients, extended to chart elements by
-ChartElement.derive.  An arithmetic flow is a p-derivation given by the
-images u_i with phi(x_i) = x_i^p + p u_i; phi substitutes these into a
-polynomial with poly.substitute_terms and extends to denominators by a
-truncated geometric series, exact at the working precision.
+A classical flow is a derivation given by its generator images, zero on
+the coefficients (ZZ, QQ and Z/p^N have only the zero derivation),
+extended to chart elements by ChartElement.derive.  An arithmetic flow is a
+p-derivation given by the images u_i with phi(x_i) = x_i^p + p u_i; phi
+substitutes these into a polynomial with poly.substitute_terms and extends
+to denominators by a truncated geometric series, exact at the working
+precision.
 
 Also here: Poisson structures (explicit brackets or Lie-Poisson from
 structure constants), the symplectic-derived bracket on the sphere, Lax
@@ -37,12 +38,7 @@ class Flow:
 
 
 class ClassicalFlow(Flow):
-    """A derivation of the chart ring extending a base derivation."""
-
-    def __init__(self, chart, images, base_deriv=None):
-        super().__init__(chart, images)
-        # base_deriv maps a coefficient to its derivative; default is zero
-        self.base_deriv = base_deriv
+    """A derivation of the chart ring, zero on the coefficients."""
 
     def apply_poly(self, f):
         """Apply the derivation to a polynomial; result is a chart element."""
@@ -50,8 +46,6 @@ class ClassicalFlow(Flow):
         for name in f.variables():
             u = self.image(name)
             out = out + self.chart.elem(f.deriv(name)) * u
-        if self.base_deriv is not None:
-            out = out + self.chart.elem(f.map_coeffs(self.base_deriv))
         return out
 
     def apply_elem(self, e):
@@ -256,20 +250,20 @@ def commutator(M, X):
     return [[MX[i][j] - XM[i][j] for j in range(len(X))] for i in range(len(X))]
 
 
-def generic_matrix(chart, n, prefix="x"):
+def generic_matrix(chart, n):
     """The matrix of chart coordinate variables x{i}{j} (1-based)."""
-    return [[chart.var("%s%d%d" % (prefix, i + 1, j + 1)) for j in range(n)]
+    return [[chart.var("x%d%d" % (i + 1, j + 1)) for j in range(n)]
             for i in range(n)]
 
 
-def lax_flow(chart, M, n, prefix="x"):
+def lax_flow(chart, M, n):
     """The flow delta x = [M, x] on a gl_n coordinate chart."""
-    X = generic_matrix(chart, n, prefix)
+    X = generic_matrix(chart, n)
     C = commutator(M, X)
     images = {}
     for i in range(n):
         for j in range(n):
-            images["%s%d%d" % (prefix, i + 1, j + 1)] = C[i][j]
+            images["x%d%d" % (i + 1, j + 1)] = C[i][j]
     return ClassicalFlow(chart, images)
 
 
@@ -299,10 +293,10 @@ def char_poly_coeffs(X):
             for j in range(1, n + 1)]
 
 
-def isospectrality_defect(chart, M, n, j, prefix="x"):
+def isospectrality_defect(chart, M, n, j):
     """The flow applied to P_j; identically zero for every Lax flow."""
-    flow = lax_flow(chart, M, n, prefix)
-    X = generic_matrix(chart, n, prefix)
+    flow = lax_flow(chart, M, n)
+    X = generic_matrix(chart, n)
     Pj = char_poly_coeffs(X)[j - 1]
     return flow.apply_elem(Pj)
 
@@ -315,11 +309,11 @@ def euler_lagrange_form(flow, nu):
     return lie_derivative(flow, nu)
 
 
-def el_defect(flow, lagrangian, base="x", prolonged="x'"):
+def el_defect(flow, lagrangian):
     """delta(dL/dx') - dL/dx for a canonical flow on the (x, x') chart."""
-    if not is_canonical_flow(flow, [(base, prolonged)]):
+    if not is_canonical_flow(flow, [("x", "x'")]):
         raise ValueError("Euler-Lagrange residual needs a canonical flow")
     lagrangian = flow.chart.elem(lagrangian)
-    dLdxp = elem_deriv(lagrangian, prolonged)
-    dLdx = elem_deriv(lagrangian, base)
+    dLdxp = elem_deriv(lagrangian, "x'")
+    dLdx = elem_deriv(lagrangian, "x")
     return flow.apply_elem(dLdxp) - dLdx

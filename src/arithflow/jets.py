@@ -59,14 +59,13 @@ class JetPresentation:
         return tuple(out)
 
 
-def prolong(f, n, flavor="classical", p=None, base_vars=None):
+def prolong(f, n, flavor="classical", p=None):
     """Prolong a relation to order n under the universal (p-)derivation."""
     if flavor not in ("classical", "arithmetic"):
         raise ValueError("flavor must be classical or arithmetic")
     if flavor == "arithmetic" and p is None:
         raise ValueError("arithmetic prolongation needs a prime")
-    if base_vars is None:
-        base_vars = tuple(sorted(f.variables()))
+    base_vars = tuple(sorted(f.variables()))
     relations = [f]
     for k in range(n):
         # variables present at level k

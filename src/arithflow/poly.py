@@ -1,15 +1,17 @@
 """Sparse multivariate polynomials and localization charts.
 
-A MultiPoly keeps its coefficient ring (ZZ, QQ or Zp(p, N)) once, as
-f.ring, and its terms as one dict from packed exponent keys to ints,
-Fractions or residues in [1, p^N).  A key gives variable i of one
-process-wide, append-only table of names the bits [i*w, (i+1)*w), w the
-polynomial's field width (Monagan & Pearce, CASC 2007), so adding two keys
-multiplies the monomials; a product whose exponent bound would pass 2^w - 1
-repacks its operands wider.  TruncatedPadic appears only at the boundary:
-MultiPoly(terms) takes a dict from sorted tuples of (name, exponent) pairs
-to int, Fraction and TruncatedPadic values, and f.terms is a read-only view
-in that format.  Operands from different rings meet in their ring_join.
+A MultiPoly keeps its coefficient ring (ZZ, QQ or Zp(p, N), the interned
+rings of padic) once, as f.ring, and its terms as one dict from packed
+exponent keys to ints, Fractions or residues in [1, p^N).  A key gives
+variable i of one process-wide, append-only table of names the bits
+[i*w, (i+1)*w), w the polynomial's field width (Monagan & Pearce, CASC
+2007), so adding two keys multiplies the monomials; a product whose exponent
+bound would pass 2^w - 1 repacks its operands wider.  TruncatedPadic
+appears only at the boundary: MultiPoly(terms) takes a dict from sorted
+tuples of (name, exponent) pairs to int, Fraction and TruncatedPadic values,
+and f.terms is a read-only view in that format.  Operands from different
+rings meet in their ring_join, the rule that TruncatedPadic arithmetic
+follows too.
 
 A product reduces each result coefficient once.  Over Z/p^N it groups each
 operand's terms by the p-adic valuation of their coefficient and skips the
@@ -32,103 +34,11 @@ from collections.abc import Mapping
 from fractions import Fraction
 from functools import reduce
 
-from .padic import TruncatedPadic, PrecisionError
+from .padic import TruncatedPadic, PrecisionError, ZZ, QQ, Zp, ring_join, _ZZ
 
 
 # ---------------------------------------------------------------------------
-# coefficient rings
-
-class _Ring:
-    """A coefficient ring, interned: equal parameters give one object.
-    value(c) stores an int or ring element c, decode(c) gives it back, and
-    modulus is 0 for the exact rings."""
-    _interned = {}
-    p = prec = None
-    modulus = 0
-
-    def __new__(cls, *params):
-        ring = _Ring._interned.get((cls, params))
-        if ring is None:
-            ring = _Ring._interned[cls, params] = object.__new__(cls)
-            ring._params = params
-            ring._setup(*params)
-        return ring
-
-    def __reduce__(self):
-        # a copy or an unpickled ring is the interned one
-        return type(self), self._params
-
-    def _setup(self):
-        pass
-
-    def value(self, c):
-        return c
-
-    decode = value
-
-
-class ZZ(_Ring):
-    """Exact integers."""
-    name = "ZZ"
-
-    def from_int(self, n):
-        return n
-
-    def is_unit(self, c):
-        return c in (1, -1)
-
-    def inv(self, c):
-        if c == 1 or c == -1:
-            return c
-        raise ZeroDivisionError("%r is not a unit in ZZ" % (c,))
-
-
-class QQ(_Ring):
-    """Exact rationals."""
-    name = "QQ"
-
-    def from_int(self, n):
-        return Fraction(n)
-
-    def is_unit(self, c):
-        return c != 0
-
-    def inv(self, c):
-        return 1 / Fraction(c)
-
-    def value(self, c):
-        return Fraction(c)
-
-
-class Zp(_Ring):
-    """Z/p^prec with explicit precision; prec=1 is the field F_p."""
-
-    def _setup(self, p, prec):
-        self.p = p
-        self.prec = prec
-        self.modulus = p ** prec
-        self.name = "Z/%d^%d" % (p, prec)
-
-    def from_int(self, n):
-        return TruncatedPadic(self.p, self.prec, n)
-
-    def is_unit(self, c):
-        return self.coerce(c).is_unit()
-
-    def inv(self, c):
-        return self.coerce(c).inv()
-
-    def coerce(self, c):
-        return c if isinstance(c, TruncatedPadic) else self.from_int(c)
-
-    def value(self, c):
-        """The residue in [0, p^N) of an int or of an element of Z/p^M, M >= N."""
-        c = c.val if isinstance(c, TruncatedPadic) else c
-        return c if 0 <= c < self.modulus else c % self.modulus
-
-    def decode(self, c):
-        return TruncatedPadic._make(self.p, self.prec, c)
-
+# coefficients
 
 class _NoRing:
     """The ring of a term dict whose values share none: any use raises."""
@@ -140,32 +50,12 @@ class _NoRing:
         raise self.error
 
 
-def ring_join(r, s):
-    """The ring of a result whose operands lie in r and s.
-
-    ZZ joins every ring: an int is exact, and is taken into QQ or Z/p^N.
-    Z/p^N and Z/p^M join to Z/p^min(N, M): a result is known only to the
-    least precision of its operands, so a zero from mixed precisions is zero
-    at that precision, and its ring says so.  QQ with Z/p^N raises
-    TypeError, and Z/p^N with Z/q^M for p != q raises ValueError."""
-    if r is s or s is _ZZ:
-        return r
-    if r is _ZZ:
-        return s
-    if r.p is None or s.p is None:
-        raise TypeError("cannot mix %s and %s coefficients" % (r.name, s.name))
-    if r.p != s.p:
-        raise ValueError("prime mismatch: %d vs %d" % (r.p, s.p))
-    return r if r.prec <= s.prec else s
-
-
-_ZZ = ZZ()
 _SCALARS = (int, Fraction, TruncatedPadic)
 
 
 def _ring_of(c):
     if isinstance(c, TruncatedPadic):
-        return Zp(c.p, c.prec)
+        return c.ring
     if isinstance(c, int):
         return _ZZ
     if isinstance(c, Fraction):
@@ -382,8 +272,9 @@ class MultiPoly:
         f, g = self._unify(other)
         return f._t == g._t
 
-    def __hash__(self):
-        return hash(frozenset(self.terms))
+    # == joins the operands' rings, so no hash over one ring's terms agrees
+    # with it
+    __hash__ = None
 
     def over(self, ring):
         """This polynomial with its coefficients read in ring: ZZ in QQ or

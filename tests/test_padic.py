@@ -1,11 +1,16 @@
 """Truncated p-adic arithmetic and the Fermat quotient."""
 
+import copy
+import operator
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from arithflow.padic import (TruncatedPadic, PrecisionError, delta_base,
                              teichmuller, is_delta_constant, _is_prime,
                              _PRIME_LIMIT)
+from arithflow.poly import MultiPoly, Zp, ring_join
 
 
 def test_delta_of_zero_and_one():
@@ -82,6 +87,14 @@ def test_even_or_composite_prime_rejected():
         TruncatedPadic(2, 3, 1)
     with pytest.raises(ValueError):
         TruncatedPadic(9, 3, 1)
+    # the ring makes the checks, and a ring that fails them is not kept
+    for _ in range(2):
+        with pytest.raises(ValueError, match="p must be an odd prime, got 9"):
+            Zp(9, 3)
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            Zp(5, 0)
+        with pytest.raises(ValueError, match="precision must be >= 1"):
+            TruncatedPadic(5, 0, 1)
 
 
 def test_mixed_precision_equality_and_ops():
@@ -91,6 +104,24 @@ def test_mixed_precision_equality_and_ops():
     assert (a + b).prec == 2
     assert a + 3 == 10
     assert (a * b).val == 49 % 25
+    # the result ring is the ring_join of the operands' rings
+    assert a.ring is Zp(5, 4)
+    for c in (a + b, b + a, a - b, a * b, b * a):
+        assert c.ring is Zp(5, 2) is ring_join(a.ring, b.ring)
+    for c in (a + 3, 3 + a, a - 3, 3 - a, a * 3, 3 * a):
+        assert c.ring is Zp(5, 4)
+    with pytest.raises(ValueError) as joined:
+        ring_join(Zp(5, 4), Zp(7, 2))
+    for op in (operator.add, operator.sub, operator.mul, operator.eq):
+        with pytest.raises(ValueError) as mixed:
+            op(a, TruncatedPadic(7, 2, 7))
+        assert str(mixed.value) == str(joined.value) == "prime mismatch: 5 vs 7"
+
+
+def test_copies_keep_the_interned_ring():
+    a = TruncatedPadic(7, 3, 12)
+    for b in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b.ring is Zp(7, 3) and b.val == 12
 
 
 def test_inverse_and_units():
@@ -151,3 +182,20 @@ def test_nested_delta_precision_contract(x, p):
     a = TruncatedPadic(p, 6, x)
     d2 = delta_base(delta_base(a))
     assert d2.prec == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5]), st.integers(1, 4), st.integers(1, 4),
+       st.integers(0, 10 ** 4), st.integers(0, 10 ** 4), st.integers(-50, 50))
+def test_scalars_and_constant_polynomials_agree(p, n, m, x, y, k):
+    # + - * == on scalars of two precisions, and with an int, give the ring
+    # and residue that the same operations give on constant polynomials
+    a, b = TruncatedPadic(p, n, x), TruncatedPadic(p, m, y)
+    A, B = MultiPoly.const(a), MultiPoly.const(b)
+    for op in (operator.add, operator.sub, operator.mul):
+        for c, C in ((op(a, b), op(A, B)), (op(a, k), op(A, k)),
+                     (op(k, b), op(k, B))):
+            assert C.ring is c.ring
+            assert C.eval({}).val == c.val
+    assert (a == b) == (A == B)
+    assert (a == k) == (A == k)
