@@ -16,6 +16,7 @@ import random
 import sys
 import time
 
+from . import __version__
 from .padic import TruncatedPadic, delta_base, teichmuller, _is_prime
 from .poly import MultiPoly, Chart, ZZ, Zp, SphereNF, parse_poly, ParseError
 from .forms import DiffForm, FiberFrame
@@ -24,8 +25,6 @@ from .flows import (ArithmeticFlow, PoissonStructure, check_prime_integral,
 from . import euler as eu
 from . import lax as lx
 from . import jets
-
-VERSION = "0.1.0"
 
 DEFAULT_PRIMES = (5, 7, 13)
 DEFAULT_PREC = 3
@@ -72,10 +71,10 @@ def _apply_option(cfg, key, val):
         primes = sorted({int(v) for v in val.split(",") if v.strip()})
         if not primes:
             raise ConfigError("p needs at least one prime")
-        for p in primes:
-            if p == 2 or not _is_prime(p):
-                raise ConfigError("p must be an odd prime, got %d" % p)
-        cfg.primes = primes
+        try:
+            cfg.primes = [Zp(p, 1).p for p in primes]
+        except ValueError as e:
+            raise ConfigError(str(e)) from e
     elif key == "prec":
         cfg.prec = int(val)
         if cfg.prec < 1:
@@ -361,7 +360,7 @@ def run(cfg):
     summary = {"pass": sum(1 for c in checks if c["status"] == "pass"),
                "fail": sum(1 for c in checks if c["status"] == "fail"),
                "skip": sum(1 for c in checks if c["status"] == "skip")}
-    return {"version": VERSION, "config": cfg.to_dict(),
+    return {"version": __version__, "config": cfg.to_dict(),
             "checks": checks, "summary": summary}
 
 

@@ -13,11 +13,9 @@ congruence for the trace of Frobenius).
 
 from __future__ import annotations
 
-from functools import wraps
-
 from .padic import TruncatedPadic, teichmuller
 from .poly import (MultiPoly, Chart, ChartElement, Zp, FiberNF, SphereNF,
-                   ChartError, reduce_poly_mod_p)
+                   ChartError, once, reduce_poly_mod_p)
 from .flows import ArithmeticFlow, ClassicalFlow, check_prime_integral
 
 
@@ -46,9 +44,9 @@ def quartic_poly(a, one=1):
     return (xx * (a2 - a3) + z1 - z2 * a2) * (xx * (a3 - a1) - z1 + z2 * a1)
 
 
-def hasse_invariant(p, a, one=1):
+def hasse_invariant(p, a):
     """Coefficient of x^{p-1} in F^{(p-1)/2}, a polynomial in (z1, z2)."""
-    Fh = quartic_poly(a, one) ** ((p - 1) // 2)
+    Fh = quartic_poly(a) ** ((p - 1) // 2)
     return Fh.coefficient_of("x", p - 1)
 
 
@@ -89,7 +87,6 @@ class EulerSystem:
             for j in range(i + 1, 3):
                 if not (self.a[i] - self.a[j]).is_unit():
                     raise PreconditionError("a_i - a_j must be units")
-        self._admissible = {}
         one = self.ring.from_int(1)
         self.H1, self.H2 = euler_h_polys(self.a, one)
         self.N_z = norm_poly(self.a, one)
@@ -136,20 +133,19 @@ class AdmissibleFiber:
         self.c2 = teichmuller(p, r2 % p, sys.prec)
 
 
+@once
 def admissible_fibers(sys, need_c2_unit=False):
-    """The residues (r1, r2) in F_p^2 of the admissible fibers, cached on the
+    """The residues (r1, r2) in F_p^2 of the admissible fibers, kept on the
     system.  N(c) A_{p-1}(c) is a unit iff it is one mod p, and a Teichmuller
     lift is r mod p, so the test runs in F_p."""
-    if need_c2_unit not in sys._admissible:
-        p = sys.p
-        found = []
-        for r1 in range(p):
-            for r2 in range(1 if need_c2_unit else 0, p):
-                c = {"z1": TruncatedPadic(p, 1, r1), "z2": TruncatedPadic(p, 1, r2)}
-                if sys.N_z.eval(c).is_unit() and sys.A_z.eval(c).is_unit():
-                    found.append((r1, r2))
-        sys._admissible[need_c2_unit] = found
-    return sys._admissible[need_c2_unit]
+    p = sys.p
+    found = []
+    for r1 in range(p):
+        for r2 in range(1 if need_c2_unit else 0, p):
+            c = {"z1": TruncatedPadic(p, 1, r1), "z2": TruncatedPadic(p, 1, r2)}
+            if sys.N_z.eval(c).is_unit() and sys.A_z.eval(c).is_unit():
+                found.append((r1, r2))
+    return found
 
 
 # rejection draws before the sampler picks from the enumerated list; with one
@@ -315,18 +311,7 @@ def gauge_adjust(flow, sys):
 # ---------------------------------------------------------------------------
 # fiber verifications (all mod p)
 
-def _once_per_flow(fn):
-    """Compute fn(flow, sys) once per flow object; a raise is not kept."""
-    @wraps(fn)
-    def once(flow, sys):
-        cache = vars(flow).setdefault("_once", {})
-        if fn not in cache:
-            cache[fn] = fn(flow, sys)
-        return cache[fn]
-    return once
-
-
-@_once_per_flow
+@once
 def pullback_coefficient(flow, sys):
     """h = <(phi*/p) omega, v> mod p, before normal form, for the fiber
     1-form omega = dx3 / ((a1 - a2) x1 x2) (<omega, v> = 1).  In closed form
@@ -341,7 +326,7 @@ def pullback_coefficient(flow, sys):
     return h, cp
 
 
-@_once_per_flow
+@once
 def _fibre_normal_forms(flow, sys):
     """(forms, den, cp): the fiber normal forms of the denominator product
     prod f_i^{den_i} and of the numerator of h, with c kept as the symbols
@@ -382,7 +367,7 @@ def verify_linearization(flow, sys, fiber):
     return derive_new2_form(flow, sys, fiber, coef=Ac) * -Ac.inv()
 
 
-@_once_per_flow
+@once
 def _require_prime_integrals(flow, sys):
     """Raise ArithmeticError unless phi(H_j) = H_j^p exactly at the working
     precision, for j = 1, 2; a pass is cached on the flow."""
@@ -392,7 +377,7 @@ def _require_prime_integrals(flow, sys):
                 "phi(H) != H^p: the flow's prime integrals are not exact")
 
 
-@_once_per_flow
+@once
 def sphere_residual(flow, sys):
     """H1^{p-1} (h - 1/A_{p-1}(H1,H2)) mod p, before the sphere normal form,
     with h from pullback_coefficient; it does not depend on c2, so it is

@@ -6,7 +6,8 @@ extended to chart elements by ChartElement.derive.  An arithmetic flow is a
 p-derivation given by the images u_i with phi(x_i) = x_i^p + p u_i; phi
 substitutes these into a polynomial with poly.substitute_terms and extends
 to denominators by a truncated geometric series, exact at the working
-precision.
+precision.  Mod p every lift is x -> x^p: reduce_mod_p gives it as the same
+class on the F_p chart, with the images mod p kept for the form pullbacks.
 
 Also here: Poisson structures (explicit brackets or Lie-Poisson from
 structure constants), the symplectic-derived bracket on the sphere, Lax
@@ -20,7 +21,7 @@ import operator
 from functools import reduce
 from itertools import combinations
 
-from .poly import MultiPoly, ChartElement, Zp, substitute_terms
+from .poly import MultiPoly, Zp, once, substitute_terms
 from .forms import DiffForm, elem_deriv, lie_derivative
 
 
@@ -60,7 +61,7 @@ def check_prime_integral(flow, H):
     phi(H) - H^p, which is p times the p-derivation of H.
     """
     H = flow.chart.elem(H)
-    if isinstance(flow, FrobeniusLift):
+    if isinstance(flow, ArithmeticFlow):
         return flow.phi_elem(H) - H ** flow.p
     return flow.apply_elem(H)
 
@@ -141,16 +142,7 @@ def is_symplectic_hamiltonian(flow, eta, frame, sphere_nf):
 # ---------------------------------------------------------------------------
 # arithmetic flows
 
-class FrobeniusLift(Flow):
-    """A Frobenius lift phi on a chart, carrying its flow images; subclasses
-    give phi on polynomials (phi_poly) and on chart elements (phi_elem)."""
-
-    def __init__(self, chart, p, images):
-        super().__init__(chart, images)
-        self.p = p
-
-
-class ArithmeticFlow(FrobeniusLift):
+class ArithmeticFlow(Flow):
     """A p-derivation on a chart with p-adic coefficients.
 
     Stored as the images u_i with phi(x_i) = x_i^p + p u_i; phi acts as the
@@ -161,17 +153,17 @@ class ArithmeticFlow(FrobeniusLift):
     def __init__(self, chart, images):
         if not isinstance(chart.ring, Zp):
             raise TypeError("arithmetic flows need a p-adic chart")
-        super().__init__(chart, chart.ring.p, images)
+        super().__init__(chart, images)
+        self.p = chart.ring.p
         self.prec = chart.ring.prec
-        self._phi_var = {}
-        self._inv_phi_factor = {}
 
+    @once
     def phi_var(self, name):
-        if name not in self._phi_var:
-            xp = self.chart.elem(
-                MultiPoly.monomial(self.chart.ring.from_int(1), **{name: self.p}))
-            self._phi_var[name] = xp + self.image(name) * self.p
-        return self._phi_var[name]
+        """x^p + p u; mod p, where p u is 0, x^p without u's denominator."""
+        xp = self.chart.elem(
+            MultiPoly.monomial(self.chart.ring.from_int(1), **{name: self.p}))
+        pu = self.image(name) * self.p
+        return xp if pu.is_zero() else xp + pu
 
     def phi_poly(self, f):
         """phi of a polynomial: substitute each variable by its phi image."""
@@ -183,24 +175,23 @@ class ArithmeticFlow(FrobeniusLift):
         diff = self.phi_poly(f) - self.chart.elem(f ** self.p)
         return diff.exact_div_p()
 
+    @once
     def inv_phi_factor(self, i):
         """1/phi(C) for the i-th denominator factor C, as a chart element.
 
         With g = delta(C)/C^p one has phi(C) = C^p(1 + p g), so the inverse
-        is C^{-p} sum_{k<N} (-p g)^k; the tail vanishes mod p^N.
+        is C^{-p} sum_{k<N} (-p g)^k; the tail vanishes mod p^N.  At N = 1
+        the sum is 1, and g, which divides by p, is not formed.
         """
-        if i not in self._inv_phi_factor:
-            chart = self.chart
-            g = self.delta_poly(chart.factors[i]).div_factor(i, self.p)
-            total = chart.one()
-            term = chart.one()
+        total = term = self.chart.one()
+        if self.prec > 1:
+            g = self.delta_poly(self.chart.factors[i]).div_factor(i, self.p)
             for _ in range(1, self.prec):
                 term = term * g * (-self.p)
                 if term.num.is_zero():
                     break
                 total = total + term
-            self._inv_phi_factor[i] = total.div_factor(i, self.p)
-        return self._inv_phi_factor[i]
+        return total.div_factor(i, self.p)
 
     def phi_elem(self, e):
         out = self.phi_poly(e.num)
@@ -210,25 +201,10 @@ class ArithmeticFlow(FrobeniusLift):
         return out
 
     def reduce_mod_p(self):
-        """The induced Frobenius on the mod-p chart (fast substitution path)."""
+        """The same lift on the mod-p chart, where phi(x) = x^p; the images
+        u_i mod p stay for the form pullbacks, which take du_i."""
         images = {name: u.reduce_mod_p() for name, u in self.images.items()}
-        return ModPFrobenius(self.chart.reduce_mod_p(), self.p, images)
-
-
-class ModPFrobenius(FrobeniusLift):
-    """phi mod p: plain p-power Frobenius substitution on an F_p chart.
-
-    Carries the mod-p flow images u_i so arithmetic pullbacks of forms can
-    still be formed (the images enter through du_j, not through phi itself).
-    """
-
-    def phi_poly(self, f):
-        return ChartElement(self.chart, f.frobenius_exponents(self.p),
-                            (0,) * self.chart.nfac)
-
-    def phi_elem(self, e):
-        return ChartElement(self.chart, e.num.frobenius_exponents(self.p),
-                            tuple(k * self.p for k in e.den))
+        return ArithmeticFlow(self.chart.reduce_mod_p(), images)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,18 @@ class DiffForm:
         return cls(chart, degree, {})
 
     @classmethod
+    def sum(cls, chart, degree, terms):
+        """The sum of e dx_idx over the (idx, e) pairs of terms, in order:
+        a zero e is skipped, and a component that cancels is dropped."""
+        comps = {}
+        for idx, e in terms:
+            if not e.is_zero():
+                comps[idx] = comps[idx] + e if idx in comps else e
+                if comps[idx].is_zero():
+                    del comps[idx]
+        return cls(chart, degree, comps)
+
+    @classmethod
     def function(cls, e):
         return cls(e.chart, 0, {(): e})
 
@@ -67,14 +79,8 @@ class DiffForm:
             return NotImplemented
         if other.degree != self.degree:
             raise ValueError("degree mismatch in form addition")
-        out = dict(self.comps)
-        for idx, e in other.comps.items():
-            s = out[idx] + e if idx in out else e
-            if s.is_zero():
-                out.pop(idx, None)
-            else:
-                out[idx] = s
-        return DiffForm(self.chart, self.degree, out)
+        return DiffForm.sum(self.chart, self.degree,
+                            [*self.comps.items(), *other.comps.items()])
 
     def __neg__(self):
         return DiffForm(self.chart, self.degree,
@@ -96,35 +102,22 @@ class DiffForm:
     def wedge(self, other):
         if self.chart is not other.chart:
             raise ValueError("chart mismatch in wedge")
-        deg = self.degree + other.degree
-        out = {}
+        terms = []
         for i1, e1 in self.comps.items():
             for i2, e2 in other.comps.items():
                 sign, idx = _merge_indices(i1, i2)
-                if sign == 0:
-                    continue
-                term = e1 * e2 * sign
-                s = out[idx] + term if idx in out else term
-                if s.is_zero():
-                    out.pop(idx, None)
-                else:
-                    out[idx] = s
-        return DiffForm(self.chart, deg, out)
+                if sign:
+                    terms.append((idx, e1 * e2 * sign))
+        return DiffForm.sum(self.chart, self.degree + other.degree, terms)
 
     def d(self):
-        nvars = len(self.chart.vars)
-        out = DiffForm.zero(self.chart, self.degree + 1)
+        terms = []
         for idx, e in self.comps.items():
-            for j in range(nvars):
-                de = elem_deriv(e, self.chart.vars[j])
-                if de.is_zero():
-                    continue
+            for j, name in enumerate(self.chart.vars):
                 sign, merged = _merge_indices((j,), idx)
-                if sign == 0:
-                    continue
-                out = out + DiffForm(self.chart, self.degree + 1,
-                                     {merged: de * sign})
-        return out
+                if sign:
+                    terms.append((merged, elem_deriv(e, name) * sign))
+        return DiffForm.sum(self.chart, self.degree + 1, terms)
 
     def reduce_mod_p(self):
         red = {idx: e.reduce_mod_p() for idx, e in self.comps.items()}
@@ -163,16 +156,16 @@ def lie_derivative(flow, alpha):
     delta(e) dx_J + e * sum_m dx_{j1} ^ ... ^ d(delta x_{jm}) ^ ... ^ dx_{ji}.
     """
     chart = alpha.chart
-    out = DiffForm.zero(chart, alpha.degree)
+    terms = []
     for idx, e in alpha.comps.items():
-        out = out + DiffForm(chart, alpha.degree, {idx: flow.apply_elem(e)})
-        for m, j in enumerate(idx):
+        terms.append((idx, flow.apply_elem(e)))
+        for j in idx:
             dimg = DiffForm.function(flow.image(chart.vars[j])).d()
             rest = tuple(k for k in idx if k != j)
             sign, _ = _merge_indices((j,), rest)
             piece = DiffForm(chart, len(rest), {rest: e * sign})
-            out = out + dimg.wedge(piece)
-    return out
+            terms += dimg.wedge(piece).comps.items()
+    return DiffForm.sum(chart, alpha.degree, terms)
 
 
 def phi_star_over_p(alpha, flow):
@@ -195,13 +188,13 @@ def phi_star_over_p(alpha, flow):
             pulled_dx[j] = form
         return pulled_dx[j]
 
-    out = DiffForm.zero(chart, alpha.degree)
+    terms = []
     for idx, e in alpha.comps.items():
         term = DiffForm.function(flow.phi_elem(e))
         for j in idx:
             term = term.wedge(dx_image(j))
-        out = out + term
-    return out
+        terms += term.comps.items()
+    return DiffForm.sum(chart, alpha.degree, terms)
 
 
 class FiberFrame:
@@ -223,14 +216,10 @@ class FiberFrame:
 
     def contract_1form(self, alpha):
         """<alpha, v> as a chart element."""
-        total = self.chart.zero()
-        for (j,), e in alpha.comps.items():
-            total = total + e * self.v[j]
-        return total
+        return sum((e * self.v[j] for (j,), e in alpha.comps.items()),
+                   self.chart.zero())
 
     def contract_2form(self, beta):
         """<beta, pi> as a chart element."""
-        total = self.chart.zero()
-        for idx, e in beta.comps.items():
-            total = total + e * self.pi[idx]
-        return total
+        return sum((e * self.pi[idx] for idx, e in beta.comps.items()),
+                   self.chart.zero())

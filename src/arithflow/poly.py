@@ -32,7 +32,7 @@ from __future__ import annotations
 import re
 from collections.abc import Mapping
 from fractions import Fraction
-from functools import reduce
+from functools import reduce, wraps
 
 from .padic import TruncatedPadic, PrecisionError, ZZ, QQ, Zp, ring_join, _ZZ
 
@@ -334,12 +334,6 @@ class MultiPoly:
         ring, t = _residues({k: fn(dec(c)) for k, c in self._t.items()})
         return _poly(t, ring, self._w, self._b)
 
-    def frobenius_exponents(self, p):
-        """Scale all exponents by p (x -> x^p substitution)."""
-        bound = self._b * p
-        f = self._over_width(self.ring, max(self._w, _width(bound)))
-        return _poly({k * p: c for k, c in f._t.items()}, f.ring, f._w, bound)
-
     def exact_div_p(self, p, k=1):
         """Divide every coefficient by p^k exactly; over Z/p^N the result
         lies in Z/p^(N-k)."""
@@ -488,6 +482,22 @@ def _buckets(t, p):
 
 
 # ---------------------------------------------------------------------------
+# per-object results
+
+def once(fn):
+    """fn(obj, ...) computed once per object and arguments, as given, and
+    kept in obj.__dict__ as long as obj lives; a raise is not kept."""
+    @wraps(fn)
+    def memo(obj, *args, **kwargs):
+        key = (fn, args, tuple(kwargs.items()))
+        cache = vars(obj).setdefault("_once", {})
+        if key not in cache:
+            cache[key] = fn(obj, *args, **kwargs)
+        return cache[key]
+    return memo
+
+
+# ---------------------------------------------------------------------------
 # charts and chart elements
 
 class ChartError(ValueError):
@@ -504,7 +514,6 @@ class Chart:
         for f in self.factors:
             if f.is_zero():
                 raise ChartError("zero denominator factor")
-        self._mod_p_chart = None
         self._zero = MultiPoly.const(self.ring.from_int(0))
 
     @property
@@ -528,9 +537,7 @@ class Chart:
             if num.chart is not self:
                 raise ValueError("chart mismatch")
             return num
-        if isinstance(num, str):
-            num = MultiPoly.var(num)
-        elif not isinstance(num, MultiPoly):
+        if not isinstance(num, MultiPoly):
             num = MultiPoly.const(num)
         if den is None:
             den = (0,) * self.nfac
@@ -541,15 +548,14 @@ class Chart:
             raise ValueError("%r is not a chart variable" % name)
         return self.elem(MultiPoly.var(name))
 
+    @once
     def reduce_mod_p(self):
         """The same chart with coefficients reduced to F_p (Zp rings only)."""
         if not isinstance(self.ring, Zp):
             raise TypeError("reduce_mod_p needs a p-adic chart")
-        if self._mod_p_chart is None:
-            gf = Zp(self.ring.p, 1)
-            facs = tuple(reduce_poly_mod_p(f, gf) for f in self.factors)
-            self._mod_p_chart = Chart(self.vars, facs, gf)
-        return self._mod_p_chart
+        gf = Zp(self.ring.p, 1)
+        facs = tuple(reduce_poly_mod_p(f, gf) for f in self.factors)
+        return Chart(self.vars, facs, gf)
 
 
 reduce_poly_mod_p = MultiPoly.over
@@ -566,7 +572,7 @@ class ChartElement:
         self.den = tuple(den)
 
     def _align(self, other):
-        if isinstance(other, (int, Fraction, TruncatedPadic)):
+        if isinstance(other, _SCALARS):
             return self.chart.const(other)
         if isinstance(other, ChartElement):
             return self.chart.elem(other)
@@ -607,7 +613,7 @@ class ChartElement:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, TruncatedPadic)):
+        if isinstance(other, _SCALARS):
             return ChartElement(self.chart, self.num * other, self.den)
         o = self._align(other)
         if o is None:

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from arithflow.padic import TruncatedPadic, teichmuller
-from arithflow.poly import (MultiPoly, ChartElement, ChartError, FiberNF,
-                            parse_poly, reduce_poly_mod_p)
+from arithflow.poly import (MultiPoly, Chart, ChartElement, ChartError,
+                            FiberNF, parse_poly, reduce_poly_mod_p)
 from arithflow.forms import DiffForm, FiberFrame, phi_star_over_p
 from arithflow.flows import ArithmeticFlow, check_prime_integral
 from arithflow import euler as eu
@@ -229,6 +229,29 @@ def test_per_flow_results_are_kept_on_the_flow_object(sys5, flow5,
         fresh = ArithmeticFlow(sys5.chart, dict(flow5.images))
         again = fn(fresh, sys5)
         assert again is not first and again == first
+    # the flow's phi images, the chart's mod-p chart and the system's
+    # admissible fibres are kept per object and per argument, the same way
+    chart = sys5.chart
+    fresh = ArithmeticFlow(chart, dict(flow5.images))
+    for fn, args in ((ArithmeticFlow.phi_var, ("x1", "x2")),
+                     (ArithmeticFlow.inv_phi_factor, (0, 1))):
+        first = [fn(flow5, a) for a in args]
+        assert all(fn(flow5, a) is r for a, r in zip(args, first))
+        again = [fn(fresh, a) for a in args]
+        assert all(g is not r and g == r for g, r in zip(again, first))
+        assert first[0] is not first[1] and first[0] != first[1]
+    cp = chart.reduce_mod_p()
+    assert chart.reduce_mod_p() is cp
+    other = Chart(chart.vars, chart.factors, chart.ring).reduce_mod_p()
+    assert other is not cp and other.factors == cp.factors
+    units = eu.admissible_fibers(sys5, True)
+    anyc2 = eu.admissible_fibers(sys5, False)
+    assert units is not anyc2 and set(units) < set(anyc2)
+    assert eu.admissible_fibers(sys5, True) is units
+    assert eu.admissible_fibers(sys5, False) is anyc2
+    twin = eu.EulerSystem(sys5.p, sys5.prec, sys5.a)
+    assert eu.admissible_fibers(twin, False) is not anyc2
+    assert eu.admissible_fibers(twin, False) == anyc2
     calls = []
 
     def spy(flow, H):

@@ -154,11 +154,24 @@ def test_phi_reduces_to_frobenius_mod_p():
     ring = Zp(5, 2)
     one = ring.from_int(1)
     chart = Chart(("x1", "x2"), (MultiPoly.var("x1", one),), ring)
-    flow = ArithmeticFlow(chart, {"x1": chart.var("x2") * 3})
+    flow = ArithmeticFlow(chart, {"x1": chart.var("x2") * 3,
+                                  "x2": chart.var("x1").div_factor(0, 2)})
     f = parse_poly("x1^2*x2 + 4*x2", ring)
     full = flow.phi_poly(f).reduce_mod_p()
     fast = flow.reduce_mod_p().phi_poly(f.map_coeffs(lambda c: c.truncate(1)))
     assert full == fast
+    # a denominator goes through inv_phi_factor, which at precision 1 is
+    # C^{-p}: mod p the lift is x -> x^p, on numerator and denominator alike
+    e = chart.elem(parse_poly("x1*x2^2 + 3*x2 + 1", ring)).div_factor(0, 3)
+    mod_p = flow.reduce_mod_p()
+    got = mod_p.phi_elem(e.reduce_mod_p())
+    assert got == flow.phi_elem(e).reduce_mod_p()
+    gf = mod_p.chart.ring
+    xp = {n: MultiPoly.monomial(gf.from_int(1), **{n: 5}) for n in chart.vars}
+    frobenius = e.reduce_mod_p().num.substitute(xp)
+    assert got.num == frobenius and got.den == (15,)
+    # p u_i vanishes mod p, and its denominator does not enter phi(x_i)
+    assert mod_p.phi_var("x2").den == (0,)
 
 
 def test_lax_trace_det_prime_integrals_numeric():
