@@ -399,10 +399,13 @@ def _build_config(args):
 #   (seed 1); one step past, 0.63-0.69 s at p = 19 alone and 1.6-2.0 s with
 #   --p 5,7,11,13 --prec 4.  The caps are kept until the construction's reach
 #   is measured as a workload of its own.
-# - the lax and spectrum checks: linear in p and steep in prec; lax verify
-#   --p 10007 took 7.5 s and --p 5 --prec 400 7.5 s.  At the caps they took
-#   1.9-2.2 s together at p = 1009 and 2.0-2.5 s with --p 997,1009; past them,
-#   2.7 s at p = 2003 and 3.9 s at prec 100.
+# - the lax and spectrum checks: linear in p and steep in prec.  With the
+#   matrices held as int residues of one ring, together they took 0.44-0.65 s
+#   at the caps at p = 1009 and 0.67-0.96 s with --p 997,1009 (seeds 1-4;
+#   0.75-0.97 s for the whole lax verify command), against 0.82-1.31 s and
+#   1.38-1.73 s with an object per entry on the same machine.  Past the caps
+#   they took 0.57-0.67 s at p = 2003, 0.39-0.50 s at prec 100 (p = 5, 7, 13),
+#   0.57 s at p = 10007 (prec 3) and 6.0 s at p = 5, prec 400.
 # - the padic check: every prime at prec + 1 digits; --prec 3000 took 16 s at
 #   p = 5.  At the caps it took 3.1 s with all 168 odd primes up to 1009, and
 #   14.3 s at prec 100; with the Teichmuller lift as one modular power,

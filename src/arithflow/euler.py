@@ -133,15 +133,22 @@ class AdmissibleFiber:
         self.c2 = teichmuller(p, r2 % p, sys.prec)
 
 
-@once
 def admissible_fibers(sys, need_c2_unit=False):
-    """The residues (r1, r2) in F_p^2 of the admissible fibers, kept on the
-    system.  N(c) A_{p-1}(c) is a unit iff it is one mod p, and a Teichmuller
-    lift is r mod p, so the test runs in F_p."""
+    """The residues (r1, r2) in F_p^2 of the admissible fibers, with r2 != 0
+    if need_c2_unit, kept on the system.  N(c) A_{p-1}(c) is a unit iff it is
+    one mod p, and a Teichmuller lift is r mod p, so the test runs in F_p."""
+    return _admissible(sys, bool(need_c2_unit))
+
+
+@once
+def _admissible(sys, need_c2_unit):
+    # one key per flag however the caller passes it, and one p^2 scan per system
+    if need_c2_unit:
+        return [r for r in _admissible(sys, False) if r[1]]
     p = sys.p
     found = []
     for r1 in range(p):
-        for r2 in range(1 if need_c2_unit else 0, p):
+        for r2 in range(p):
             c = {"z1": TruncatedPadic(p, 1, r1), "z2": TruncatedPadic(p, 1, r2)}
             if sys.N_z.eval(c).is_unit() and sys.A_z.eval(c).is_unit():
                 found.append((r1, r2))

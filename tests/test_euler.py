@@ -252,6 +252,23 @@ def test_per_flow_results_are_kept_on_the_flow_object(sys5, flow5,
     twin = eu.EulerSystem(sys5.p, sys5.prec, sys5.a)
     assert eu.admissible_fibers(twin, False) is not anyc2
     assert eu.admissible_fibers(twin, False) == anyc2
+    # the p^2 scan runs once per system, whatever the flag and its spelling
+    scanned = eu.EulerSystem(sys5.p, sys5.prec, sys5.a)
+    scans = []
+    N_z = scanned.N_z
+
+    class CountingN:
+        def eval(self, c):
+            scans.append(c)
+            return N_z.eval(c)
+
+    scanned.N_z = CountingN()
+    eu.sample_admissible_fiber(scanned, random.Random(0))
+    assert eu.admissible_fibers(scanned) is eu.admissible_fibers(scanned, False) \
+        is eu.admissible_fibers(scanned, need_c2_unit=False)
+    assert eu.admissible_fibers(scanned) == anyc2
+    assert eu.admissible_fibers(scanned, need_c2_unit=True) == units
+    assert len(scans) == sys5.p ** 2
     calls = []
 
     def spy(flow, H):

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from arithflow.padic import TruncatedPadic, teichmuller
+from arithflow.padic import TruncatedPadic, Zp, ring_join, teichmuller
 from arithflow import lax as lx
 
 
@@ -137,9 +137,9 @@ def test_star_star_companion_gauge():
     p, prec = 5, 3
     z1, z2 = 7, 11
     P = [TruncatedPadic(p, prec, z1), TruncatedPadic(p, prec, z2)]
-    C = lx._companion(P, p, prec)
+    C = lx._companion([t.val for t in P], Zp(p, prec))
     y = lx.frobenius_star_star(C)
-    assert y == lx._companion([t.frobenius() for t in P], p, prec)
+    assert y == lx._companion([t.frobenius().val for t in P], Zp(p, prec))
 
 
 def test_star_star_diagram():
@@ -177,6 +177,29 @@ def test_conjugate_lift():
         assert lx.char_poly(z) == lx.char_poly(y)
 
 
+def test_a_matrix_is_one_ring_of_residues():
+    p = 5
+    x = lx.PMatrix([[TruncatedPadic(p, 3, 7), TruncatedPadic(p, 2, 24)],
+                    [TruncatedPadic(p, 4, 130), TruncatedPadic(p, 3, 1)]])
+    # mixed-precision entries are read at the least precision
+    assert x.ring is Zp(p, 2) and x.prec == 2 and x.vals == [[7, 24], [5, 1]]
+    y = M(p, 4, [[1, 2], [3, 626]])
+    for z in (x * y, y * x, x + y, y - x, y * TruncatedPadic(p, 2, 3)):
+        assert z.ring is ring_join(x.ring, y.ring)
+    assert x * y == M(p, 2, [[7 + 24 * 3, 7 * 2 + 24 * 626], [5 + 3, 10 + 626]])
+    assert x == M(p, 3, [[32, 49], [30, 26]]) and x != y
+    # entries are handed out as elements of the matrix's ring
+    assert all(e.ring is x.ring for r in x.rows for e in r)
+    assert x[1, 0] == x.rows[1][0] == TruncatedPadic(p, 2, 5)
+    assert x[1, 0].ring is x.det().ring is x.trace().ring is x.ring
+    with pytest.raises(ValueError):
+        lx.PMatrix([[TruncatedPadic(5, 2, 1), TruncatedPadic(7, 2, 1)]] * 2)
+    # at precision 1 both lifts are the entrywise p-th power
+    z = lx.conj(M(p, 1, [[1, 0], [0, 2]]), M(p, 1, [[1, 1], [3, 1]]))
+    assert lx.frobenius_star(z) == lx.phi0_entrywise(z)
+    assert lx.frobenius_star_star(z) == lx.phi0_entrywise(z)
+
+
 def test_spectrum_check_contract():
     p, prec = 5, 3
     good = lx.PMatrix.diagonal([teichmuller(p, 2, prec), teichmuller(p, 3, prec)])
@@ -208,7 +231,13 @@ def test_inverse_exists_iff_det_is_unit(data):
         # a row divisible by p makes the matrix singular mod p
         k = data.draw(st.integers(0, n - 1))
         rows[k] = [e * p for e in rows[k]]
+    if n > 1 and data.draw(st.booleans()):
+        # an entry known to more digits: the matrix is read at the least
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = TruncatedPadic(p, prec + 2, rows[i][j].val + p ** prec
+                                    * data.draw(st.integers(0, p * p - 1)))
     x = lx.PMatrix(rows)
+    assert x.ring is Zp(p, prec)
     if not x.det().is_unit():
         with pytest.raises(ZeroDivisionError):
             x.inv()
@@ -234,7 +263,8 @@ def test_kernel_vector_of_a_rank_deficient_matrix(data):
                      for j in range(n)] for i in range(n)])
     D = lx.PMatrix.diagonal([zero] + units[1:])
     m = (U * D * L).rows
-    v = lx._kernel_vector(m, p, prec)
+    v = [zero.ring.from_int(c)
+         for c in lx._kernel_vector([[e.val for e in r] for r in m], zero.ring)]
     assert any(e.is_unit() for e in v)
     assert all((sum((a * b for a, b in zip(row, v)), zero)).is_zero()
                for row in m)
