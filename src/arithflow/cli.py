@@ -15,6 +15,9 @@ import json
 import random
 import sys
 import time
+from collections import namedtuple
+from contextlib import nullcontext
+from copy import copy
 
 from . import __version__
 from .padic import TruncatedPadic, delta_base, teichmuller, _is_prime
@@ -26,85 +29,9 @@ from . import euler as eu
 from . import lax as lx
 from . import jets
 
-DEFAULT_PRIMES = (5, 7, 13)
-DEFAULT_PREC = 3
-
 
 class ConfigError(ValueError):
     pass
-
-
-class RunConfig:
-    def __init__(self):
-        self.primes = list(DEFAULT_PRIMES)
-        self.prec = DEFAULT_PREC
-        self.a = None          # explicit triple or None for sampling
-        self.c = None          # explicit fiber or None for sampling
-        self.samples = 10
-        self.seed = 0
-        self.out = None
-        self.checks = list(ALL_CHECKS)
-        self.perturb = False
-
-    def to_dict(self):
-        return {"p": self.primes, "prec": self.prec, "a": self.a,
-                "c": self.c, "samples": self.samples, "seed": self.seed,
-                "checks": self.checks, "perturb": self.perturb}
-
-
-def parse_config(text):
-    """key=value lines; '#' starts a comment."""
-    cfg = RunConfig()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError("line %d: expected key=value" % lineno)
-        key, val = [s.strip() for s in line.split("=", 1)]
-        _apply_option(cfg, key, val)
-    return cfg
-
-
-def _apply_option(cfg, key, val):
-    if key == "p":
-        primes = sorted({int(v) for v in val.split(",") if v.strip()})
-        if not primes:
-            raise ConfigError("p needs at least one prime")
-        try:
-            cfg.primes = [Zp(p, 1).p for p in primes]
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
-    elif key == "prec":
-        cfg.prec = int(val)
-        if cfg.prec < 1:
-            raise ConfigError("prec must be >= 1")
-    elif key == "a":
-        cfg.a = [int(v) for v in val.split(",")]
-        if len(cfg.a) != 3:
-            raise ConfigError("a needs three entries")
-    elif key == "c":
-        cfg.c = [int(v) for v in val.split(",")]
-        if len(cfg.c) != 2:
-            raise ConfigError("c needs two entries")
-    elif key == "samples":
-        cfg.samples = int(val)
-    elif key == "seed":
-        cfg.seed = int(val)
-    elif key == "out":
-        cfg.out = val
-    elif key == "checks":
-        names = [v.strip() for v in val.split(",") if v.strip()]
-        if not names:
-            raise ConfigError("checks needs at least one check")
-        for n in names:
-            if n not in ALL_CHECKS:
-                raise ConfigError("unknown check %r" % n)
-        cfg.checks = sorted(set(names), key=ALL_CHECKS.index)
-    elif key == "perturb":
-        cfg.perturb = val.lower() in ("1", "true", "yes")
-    else:
-        raise ConfigError("unknown key %r" % key)
 
 
 def check_rng(master_seed, check_id):
@@ -245,10 +172,13 @@ def _witness(r):
     return text if len(text) <= 200 else text[:200] + "..."
 
 
+_AP_PRIMES = [q for q in range(3, 102) if _is_prime(q)]
+
+
 def _check_ap(cfg, rng):
     done = 0
     while done < max(cfg.samples, 20):
-        p = rng.choice([q for q in range(3, 102) if _is_prime(q)])
+        p = rng.choice(_AP_PRIMES)
         av = _distinct_triple(rng, p)
         c = (rng.randrange(p), rng.randrange(p))
         try:
@@ -298,20 +228,20 @@ def _check_lax(cfg, rng):
 
 
 def _check_spectrum(cfg, rng):
-    p = cfg.primes[0]
+    p, n = cfg.primes[0], 2
     done = 0
     while done < max(cfg.samples, 10):
-        n = 2
         ts = rng.sample(range(1, p), n)
         h = lx.PMatrix.diagonal([teichmuller(p, t, cfg.prec) for t in ts])
         g = _rand_pmatrix(rng, n, p, cfg.prec).map_entries(
             lambda e: teichmuller(p, e.val % p, cfg.prec))
         if not g.det().is_unit():
             continue
-        x = lx.conj(h, g)
-        if not lx.frobenius_star(x) == x:
+        try:
+            teichmuller_spectrum = lx.spectrum_delta_constant_check(lx.conj(h, g))
+        except lx.NotFixedError:
             return "fail", "constructed matrix is not a fixed point"
-        if not lx.spectrum_delta_constant_check(x):
+        if not teichmuller_spectrum:
             return "fail", "fixed point with non-Teichmuller spectrum"
         done += 1
     return "pass", None
@@ -328,6 +258,103 @@ CHECK_FUNCS = {
     "spectrum": _check_spectrum,
 }
 ALL_CHECKS = tuple(CHECK_FUNCS)
+
+
+# ---------------------------------------------------------------------------
+# run options: each is one row of _OPTIONS, which the config file, the flags,
+# RunConfig and the report's config all read.  A parser takes the option's
+# text and raises ConfigError on a bad value.
+
+def _primes(val):
+    primes = sorted({int(v) for v in val.split(",") if v.strip()})
+    if not primes:
+        raise ConfigError("p needs at least one prime")
+    try:
+        return [Zp(p, 1).p for p in primes]
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
+
+
+def _prec(val):
+    if int(val) < 1:
+        raise ConfigError("prec must be >= 1")
+    return int(val)
+
+
+def _entries(count, message):
+    def parse(val):
+        vals = [int(v) for v in val.split(",")]
+        if len(vals) != count:
+            raise ConfigError(message)
+        return vals
+    return parse
+
+
+def _checks(val):
+    names = [v.strip() for v in val.split(",") if v.strip()]
+    if not names:
+        raise ConfigError("checks needs at least one check")
+    for n in names:
+        if n not in ALL_CHECKS:
+            raise ConfigError("unknown check %r" % n)
+    return sorted(set(names), key=ALL_CHECKS.index)
+
+
+# attr: the RunConfig attribute; parse: option text -> value; type: the
+# flag's, where bool makes a switch; reported: in the report's config
+_Option = namedtuple("_Option", "attr default parse type help reported")
+
+# keyed by the config key and flag name; flags are applied in this order
+_OPTIONS = {
+    "p": _Option("primes", [5, 7, 13], _primes, str,
+                 "comma-separated odd primes", True),
+    "prec": _Option("prec", 3, _prec, int, "working precision (digits)", True),
+    "a": _Option("a", None, _entries(3, "a needs three entries"), str,
+                 "Euler parameters a1,a2,a3", True),
+    "c": _Option("c", None, _entries(2, "c needs two entries"), str,
+                 "fiber point c1,c2", True),
+    "samples": _Option("samples", 10, int, int, (
+        "draws per sampled check, with a floor: padic and ap draw at least "
+        "20, lax and spectrum at least 10; the other checks ignore it (euler "
+        "checks every admissible fiber and every sphere at once)"), True),
+    "seed": _Option("seed", 0, int, int, "master RNG seed", True),
+    "out": _Option("out", None, str, str, "write the JSON report here", False),
+    "checks": _Option("checks", list(ALL_CHECKS), _checks, str,
+                      "comma-separated check subset", True),
+    "perturb": _Option("perturb", False, lambda v: v.lower() in ("1", "true", "yes"),
+                       bool, "perturb the flow to demonstrate a failing report", True),
+}
+
+
+class RunConfig:
+    """One attribute per option, at its default (a and c: None, sampled)."""
+
+    def __init__(self):
+        for opt in _OPTIONS.values():
+            setattr(self, opt.attr, copy(opt.default))
+
+    def to_dict(self):
+        return {k: getattr(self, o.attr) for k, o in _OPTIONS.items() if o.reported}
+
+
+def parse_config(text):
+    """key=value lines; '#' starts a comment."""
+    cfg = RunConfig()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError("line %d: expected key=value" % lineno)
+        key, val = [s.strip() for s in line.split("=", 1)]
+        _apply_option(cfg, key, val)
+    return cfg
+
+
+def _apply_option(cfg, key, val):
+    if key not in _OPTIONS:
+        raise ConfigError("unknown key %r" % key)
+    setattr(cfg, _OPTIONS[key].attr, _OPTIONS[key].parse(str(val)))
 
 
 # suite subcommands: help text and the checks each runs; selftest runs the
@@ -357,36 +384,33 @@ def run(cfg):
         if witness:
             rec["residual"] = witness
         checks.append(rec)
-    summary = {"pass": sum(1 for c in checks if c["status"] == "pass"),
-               "fail": sum(1 for c in checks if c["status"] == "fail"),
-               "skip": sum(1 for c in checks if c["status"] == "skip")}
+    summary = {s: sum(c["status"] == s for c in checks)
+               for s in ("pass", "fail", "skip")}
     return {"version": __version__, "config": cfg.to_dict(),
             "checks": checks, "summary": summary}
 
 
-def _emit(report, cfg):
+def _emit(report, out):
+    """Write the report to the open file out (or None) and to stdout."""
     text = json.dumps(report, indent=2, sort_keys=True)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(text + "\n")
+    if out:
+        out.write(text + "\n")
     print(text)
     for c in report["checks"]:
-        line = "%-14s %s" % (c["check"], c["status"].upper())
-        print(line, file=sys.stderr)
+        print("%-14s %s" % (c["check"], c["status"].upper()), file=sys.stderr)
     return 1 if report["summary"]["fail"] else 0
 
 
 def _build_config(args):
+    """The config file's options, overridden by each flag that is not None."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
-    for key in ("p", "prec", "a", "c", "samples", "seed", "out", "checks"):
+    for key in _OPTIONS:
         val = getattr(args, key, None)
         if val is not None:
-            _apply_option(cfg, key, str(val))
-    if getattr(args, "perturb", False):
-        cfg.perturb = True
+            _apply_option(cfg, key, val)
     return cfg
 
 
@@ -403,9 +427,21 @@ def _build_config(args):
 #   matrices held as int residues of one ring, together they took 0.44-0.65 s
 #   at the caps at p = 1009 and 0.67-0.96 s with --p 997,1009 (seeds 1-4;
 #   0.75-0.97 s for the whole lax verify command), against 0.82-1.31 s and
-#   1.38-1.73 s with an object per entry on the same machine.  Past the caps
-#   they took 0.57-0.67 s at p = 2003, 0.39-0.50 s at prec 100 (p = 5, 7, 13),
-#   0.57 s at p = 10007 (prec 3) and 6.0 s at p = 5, prec 400.
+#   1.38-1.73 s with an object per entry on the same machine.  With one eigen
+#   split per spectrum draw instead of three, re-measured on a busier machine:
+#   0.52-0.53 s at p = 1009 and 0.88-0.89 s with --p 997,1009 (0.81-0.96 s
+#   for the command), against 0.58-0.77 s and 0.86-1.22 s (1.26-1.27 s) with
+#   three; the spectrum check alone went 0.30-0.43 -> 0.17-0.18 s at p = 1009.
+#   Past the caps they took 0.55-0.67 s at p = 2003, 0.37-0.46 s at prec 100
+#   (p = 5, 7, 13), 0.40 s at p = 10007 (prec 3) and 5.5 s at p = 5, prec 400.
+# - samples, in the four checks that draw: the time is linear in the draws,
+#   max(samples, floor).  At the other caps (prec 50, seeds 1-4) lax took
+#   0.74-0.90 s at 30 draws at p = 1009, 1.64-1.72 s with --p 997,1009 and
+#   3.0-3.2 s at 60 draws there; spectrum 1.3-1.6 s at 100 draws and 3.0-3.3 s
+#   at 200; padic 0.03 s at 30 draws at p = 1009 alone, 3.4-3.8 s with all 168
+#   odd primes up to 1009 (2.4-2.9 s at its floor of 20); ap, which draws its
+#   own p < 102, 1.4-1.7 s at 2000 draws and 2.9-3.2 s at 4000.  Without a
+#   cap, --samples 1000000000 ran until stopped.
 # - the padic check: every prime at prec + 1 digits; --prec 3000 took 16 s at
 #   p = 5.  At the caps it took 3.1 s with all 168 odd primes up to 1009, and
 #   14.3 s at prec 100; with the Teichmuller lift as one modular power,
@@ -423,9 +459,10 @@ def _build_config(args):
 #   prints 4 MB; one step past, order 120, x^3+y^2+x*y took 3.2 s, and in
 #   one process order 150 took 9.3 s and x^2 at order 400 4.8 s.
 _CAPS = {"the euler check": {"p": 17, "prec": 3},
-         "the lax check": {"p": 1009, "prec": 50},
-         "the spectrum check": {"p": 1009, "prec": 50},
-         "the padic check": {"p": 1009, "prec": 50},
+         "the lax check": {"p": 1009, "prec": 50, "samples": 30},
+         "the spectrum check": {"p": 1009, "prec": 50, "samples": 100},
+         "the padic check": {"p": 1009, "prec": 50, "samples": 30},
+         "the ap check": {"samples": 2000},
          "hasse": {"p": 101},
          "ap": {"p": 2003},
          "arithmetic jet prolong": {"p": 17, "order": 3},
@@ -443,43 +480,37 @@ def _check_caps(what, **values):
 
 def _one_prime(val):
     """The single odd prime of a --p value, checked like the config option."""
-    cfg = RunConfig()
-    _apply_option(cfg, "p", val)
-    if len(cfg.primes) != 1:
+    primes = _OPTIONS["p"].parse(val)
+    if len(primes) != 1:
         raise ConfigError("p needs one prime")
-    return cfg.primes[0]
+    return primes[0]
 
 
 def _curve_args(args):
-    """(p, a, c) of the hasse and ap subcommands, checked like config
-    options; c is None where the subcommand has no --c."""
-    p, cfg = _one_prime(args.p), RunConfig()
-    for key in ("a", "c"):
-        val = getattr(args, key, None)
-        if val is not None:
-            _apply_option(cfg, key, val)
+    """(p, a, c) of hasse and ap, parsed like the options; hasse has c None."""
+    p, a = _one_prime(args.p), _OPTIONS["a"].parse(args.a)
+    c = _OPTIONS["c"].parse(args.c) if args.command == "ap" else None
     _check_caps(args.command, p=p)
     # hasse expands F^{(p-1)/2} over the integers, so its time grows with the
     # size of the a_i as well; the Hasse invariant is a mod-p object, and at
     # p = 101 a = 10^30,2,4 took 11.7 s against 0.83 s for a = 1,2,4
-    if args.command == "hasse" and any(abs(ai) >= p for ai in cfg.a):
+    if args.command == "hasse" and any(abs(ai) >= p for ai in a):
         raise ConfigError("hasse takes |a_i| < p = %d" % p)
-    return p, cfg.a, cfg.c
+    return p, a, c
 
 
-def _add_common(sp):
+def _add_common(sp, keys):
+    """The flags of the options keys: the switches, --config, then the others;
+    an absent switch is None, like an absent value, so it overrides nothing."""
+    switches = [key for key in keys if _OPTIONS[key].type is bool]
+    for key in switches:
+        sp.add_argument("--" + key, action="store_true", default=None,
+                        help=_OPTIONS[key].help)
     sp.add_argument("--config", help="key=value config file")
-    sp.add_argument("--p", help="comma-separated odd primes")
-    sp.add_argument("--prec", type=int, help="working precision (digits)")
-    sp.add_argument("--a", help="Euler parameters a1,a2,a3")
-    sp.add_argument("--c", help="fiber point c1,c2")
-    sp.add_argument("--samples", type=int, help=(
-        "draws per sampled check, with a floor: padic and ap draw at least "
-        "20, lax and spectrum at least 10; the other checks ignore it (euler "
-        "checks every admissible fiber and every sphere at once)"))
-    sp.add_argument("--seed", type=int, help="master RNG seed")
-    sp.add_argument("--out", help="write the JSON report here")
-    sp.add_argument("--checks", help="comma-separated check subset")
+    for key in keys:
+        if key not in switches:
+            sp.add_argument("--" + key, type=_OPTIONS[key].type,
+                            help=_OPTIONS[key].help)
 
 
 def main(argv=None):
@@ -491,19 +522,15 @@ def main(argv=None):
         sp = sub.add_parser(name, help=help_text)
         if checks is not None:
             sp.add_argument("mode", choices=["verify"])
-        if name == "euler":
-            sp.add_argument("--perturb", action="store_true", help=(
-                "perturb the flow to demonstrate a failing report"))
-        _add_common(sp)
+        # only euler verify perturbs its flow
+        _add_common(sp, [k for k in _OPTIONS if k != "perturb" or name == "euler"])
 
-    sp = sub.add_parser("hasse", help="print the Hasse invariant polynomial")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--a", required=True)
-
-    sp = sub.add_parser("ap", help="point count and trace congruence")
-    sp.add_argument("--p", required=True)
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--c", required=True)
+    for name, help_text, keys in (
+            ("hasse", "print the Hasse invariant polynomial", "pa"),
+            ("ap", "point count and trace congruence", "pac")):
+        sp = sub.add_parser(name, help=help_text)
+        for key in keys:
+            sp.add_argument("--" + key, required=True)
 
     sp = sub.add_parser("jet", help="jet prolongation")
     sp.add_argument("mode", choices=["prolong"])
@@ -519,7 +546,9 @@ def main(argv=None):
         return 2
     try:
         return _dispatch(args)
-    except (ConfigError, ParseError, ValueError) as e:
+    except (ConfigError, ParseError, ValueError, OSError) as e:
+        # OSError: a --config file that cannot be read, or an --out file
+        # that cannot be written
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RuntimeError as e:
@@ -530,12 +559,15 @@ def main(argv=None):
 def _dispatch(args):
     if args.command in SUITES:
         cfg = _build_config(args)
-        checks = SUITES[args.command][1]
-        if checks is not None:
-            cfg.checks = list(checks)
+        # selftest (None) runs the configured checks
+        cfg.checks = list(SUITES[args.command][1] or cfg.checks)
         for cid in cfg.checks:
-            _check_caps("the %s check" % cid, p=max(cfg.primes), prec=cfg.prec)
-        return _emit(run(cfg), cfg)
+            _check_caps("the %s check" % cid, p=max(cfg.primes), prec=cfg.prec,
+                        samples=cfg.samples)
+        # the report file is opened before the checks run, so a path that
+        # cannot be written fails at once
+        with open(cfg.out, "w") if cfg.out else nullcontext() as out:
+            return _emit(run(cfg), out)
     if args.command == "hasse":
         p, a, _ = _curve_args(args)
         print(eu.hasse_invariant(p, a))

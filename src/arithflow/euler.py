@@ -281,21 +281,20 @@ def gauge_target_u3(sys):
     congruent to A_{p-1}(c)^{-1} times itself on every admissible fiber.
 
     Integrates A^{-1} sum_{j != p-1} B_j(H1,H2) x3^j term by term (the
-    exponents j+1 avoid p, so each is invertible mod p)."""
+    exponents j+1 avoid p, so each is invertible mod p): G(z1, z2, x3) =
+    sum_j B_j(z1, z2) x3^{j+1}/(j+1) is formed mod p, and (H1, H2) is
+    substituted into it once."""
     p = sys.p
     cp = sys.chart.reduce_mod_p()
     gf = cp.ring
-    H1p = reduce_poly_mod_p(sys.H1, gf)
-    H2p = reduce_poly_mod_p(sys.H2, gf)
-    sub = {"z1": H1p, "z2": H2p}
-    total = cp.zero()
+    G = MultiPoly.const(gf.from_int(0))
     for j, Bj in enumerate(sys.B):
-        if j == p - 1 or Bj.is_zero():
-            continue
-        BH = reduce_poly_mod_p(Bj, gf).substitute(sub)
-        mono = MultiPoly.monomial(gf.from_int(1), x3=j + 1)
-        total = total + cp.elem(BH * mono) * gf.from_int(j + 1).inv()
-    return total.div_factor(3, 1)
+        if j != p - 1:
+            G = G + reduce_poly_mod_p(Bj, gf) * MultiPoly.monomial(
+                gf.from_int(j + 1).inv(), x3=j + 1)
+    GH = G.substitute({"z1": reduce_poly_mod_p(sys.H1, gf),
+                       "z2": reduce_poly_mod_p(sys.H2, gf)})
+    return cp.elem(GH).div_factor(3, 1)
 
 
 def gauge_adjust(flow, sys):

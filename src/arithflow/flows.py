@@ -159,11 +159,10 @@ class ArithmeticFlow(Flow):
 
     @once
     def phi_var(self, name):
-        """x^p + p u; mod p, where p u is 0, x^p without u's denominator."""
+        """x^p + p u."""
         xp = self.chart.elem(
             MultiPoly.monomial(self.chart.ring.from_int(1), **{name: self.p}))
-        pu = self.image(name) * self.p
-        return xp if pu.is_zero() else xp + pu
+        return xp + self.image(name) * self.p
 
     def phi_poly(self, f):
         """phi of a polynomial: substitute each variable by its phi image."""

@@ -34,6 +34,10 @@ class NotRegularError(ValueError):
     """No cyclic vector mod p; the companion chart does not apply."""
 
 
+class NotFixedError(ValueError):
+    """The matrix is not fixed by the eigenvalue Frobenius lift."""
+
+
 class PMatrix:
     """A square matrix over Z/p^N: the ring Zp(p, N) and rows of residues in
     [0, p^N).  The constructor reads TruncatedPadic entries into the
@@ -291,8 +295,9 @@ def conjugate_lift(y, alpha):
 
 def spectrum_delta_constant_check(x):
     """For a fixed point of the eigenvalue lift: every eigenvalue must be a
-    Teichmuller representative."""
-    if not frobenius_star(x) == x:
-        raise ValueError("input is not fixed by the eigenvalue Frobenius lift")
-    h, _ = eigen_split(x)
+    Teichmuller representative.  One eigen split gives frobenius_star(x)
+    and the eigenvalues."""
+    h, g = eigen_split(x)
+    if not conj(phi0_entrywise(h), phi0_entrywise(g)) == x:
+        raise NotFixedError("input is not fixed by the eigenvalue Frobenius lift")
     return all(is_delta_constant(h[i, i]) for i in range(x.n))

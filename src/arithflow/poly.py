@@ -579,9 +579,11 @@ class ChartElement:
         return None
 
     def _common(self, o):
-        """Both numerators over the least common denominator; a zero
-        numerator stays as it is."""
-        den = tuple(max(a, b) for a, b in zip(self.den, o.den))
+        """Both numerators over the least common denominator of the nonzero
+        ones (of both, if both are zero); a zero numerator stays as it is,
+        so its den multiplies nothing."""
+        dens = [e.den for e in (self, o) if not e.num.is_zero()] or [self.den, o.den]
+        den = tuple(map(max, zip(*dens)))
         n1 = self.num
         n2 = o.num
         for i, f in enumerate(self.chart.factors):

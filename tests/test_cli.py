@@ -117,12 +117,45 @@ def test_main_bad_usage_exit_two(capsys):
 
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfile = tmp_path / "run.cfg"
-    cfile.write_text("p=5\nprec=3\nchecks=padic\nsamples=3\n")
+    cfile.write_text("p=5\nprec=3\nchecks=padic\nsamples=3\nseed=9\n")
     rc = cli.main(["selftest", "--config", str(cfile), "--prec", "2"])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["prec"] == 2
     assert report["config"]["p"] == [5]
+    # a flag of 0 is a value too: it overrides the file, or is refused
+    assert cli.main(["selftest", "--config", str(cfile), "--seed", "0",
+                     "--samples", "0"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["seed"], config["samples"], config["prec"]) == (0, 0, 3)
+    assert cli.main(["selftest", "--config", str(cfile), "--prec", "0"]) == 2
+    assert _one_line_error(capsys) == "error: prec must be >= 1\n"
+
+
+def test_file_errors_exit_two_before_any_check(tmp_path, monkeypatch, capsys):
+    def no_run(cfg):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    for argv in (["selftest", "--config", str(tmp_path / "missing.cfg")],
+                 ["selftest", "--checks", "padic", "--p", "5",
+                  "--out", str(tmp_path / "missing" / "r.json")]):
+        assert cli.main(argv) == 2
+        assert "No such file or directory" in _one_line_error(capsys)
+        assert capsys.readouterr().out == ""
+
+
+def test_spectrum_check_splits_each_draw_once(monkeypatch, capsys):
+    calls = []
+    split = cli.lx.eigen_split
+
+    def spy(x):
+        calls.append(x)
+        return split(x)
+
+    monkeypatch.setattr(cli.lx, "eigen_split", spy)
+    assert cli.main(["selftest", "--checks", "spectrum", "--seed", "1"]) == 0
+    assert len(calls) == 10
 
 
 def test_hasse_subcommand(capsys):
@@ -284,6 +317,14 @@ def test_euler_fibre_witness_is_bounded(monkeypatch, capsys):
      "the spectrum check takes p <= 1009"),
     (["selftest", "--checks", "padic", "--prec", "100000"],
      "the padic check takes prec <= 50"),
+    (["selftest", "--checks", "padic", "--samples", "1000000000"],
+     "the padic check takes samples <= 30, got 1000000000"),
+    (["selftest", "--checks", "ap", "--samples", "1000000000"],
+     "the ap check takes samples <= 2000, got 1000000000"),
+    (["lax", "verify", "--samples", "1000000000"],
+     "the lax check takes samples <= 30, got 1000000000"),
+    (["selftest", "--checks", "spectrum", "--samples", "1000000000"],
+     "the spectrum check takes samples <= 100, got 1000000000"),
 ])
 def test_euler_and_hasse_reject_inputs_above_their_caps(argv, message, capsys):
     t0 = time.time()

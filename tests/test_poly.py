@@ -91,6 +91,18 @@ def test_chart_element_arithmetic():
     assert (half + half) * x1 == chart.const(2)
     assert half * x1 == chart.one()
     assert (x2 * half - x2 * half).is_zero()
+    # a zero's den enters no sum: adding a zero with a den leaves the other
+    # operand's den as it is, on either side
+    zero = (x2 - x2).div_factor(0, 3)
+    assert (x2 + zero).den == (zero + x2).den == x2.den == (0,)
+    assert (half - zero).den == half.den == (1,)
+    assert (zero + zero).den == (3,)
+    # and the sum is still formed, so a zero known to fewer digits lowers
+    # the precision of the sum
+    pchart = _simple_chart(Zp(5, 3))
+    coarse = ChartElement(pchart, MultiPoly.const(TruncatedPadic(5, 1, 0)), (2,))
+    total = pchart.var("x2") + coarse
+    assert total.den == (0,) and total.num.ring is Zp(5, 1)
 
 
 def test_eval_and_chart_violation():
