@@ -16,7 +16,7 @@ import random
 import sys
 import time
 from collections import namedtuple
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from copy import copy
 
 from . import __version__
@@ -390,12 +390,35 @@ def run(cfg):
             "checks": checks, "summary": summary}
 
 
+@contextmanager
+def _file_errors():
+    """An OSError of --config, --out or stdout is a usage error."""
+    try:
+        yield
+    except OSError as e:
+        raise ConfigError(str(e)) from None
+
+
+def _print(text):
+    """print(text), flushed; a stdout closed early drops the rest quietly."""
+    with _file_errors():
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # a reader such as `| head -1` is gone: the command keeps its own
+            # exit code, print to a None stdout does nothing, and the flush at
+            # exit skips it
+            sys.stdout = None
+
+
 def _emit(report, out):
     """Write the report to the open file out (or None) and to stdout."""
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
-        out.write(text + "\n")
-    print(text)
+        with _file_errors():
+            out.write(text + "\n")
+            out.flush()
+    _print(text)
     for c in report["checks"]:
         print("%-14s %s" % (c["check"], c["status"].upper()), file=sys.stderr)
     return 1 if report["summary"]["fail"] else 0
@@ -405,7 +428,7 @@ def _build_config(args):
     """The config file's options, overridden by each flag that is not None."""
     cfg = RunConfig()
     if args.config:
-        with open(args.config) as fh:
+        with _file_errors(), open(args.config) as fh:
             cfg = parse_config(fh.read())
     for key in _OPTIONS:
         val = getattr(args, key, None)
@@ -546,9 +569,7 @@ def main(argv=None):
         return 2
     try:
         return _dispatch(args)
-    except (ConfigError, ParseError, ValueError, OSError) as e:
-        # OSError: a --config file that cannot be read, or an --out file
-        # that cannot be written
+    except (ConfigError, ParseError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except RuntimeError as e:
@@ -566,11 +587,13 @@ def _dispatch(args):
                         samples=cfg.samples)
         # the report file is opened before the checks run, so a path that
         # cannot be written fails at once
-        with open(cfg.out, "w") if cfg.out else nullcontext() as out:
-            return _emit(run(cfg), out)
+        with _file_errors():
+            out = open(cfg.out, "w") if cfg.out else nullcontext()
+        with out as fh:
+            return _emit(run(cfg), fh)
     if args.command == "hasse":
         p, a, _ = _curve_args(args)
-        print(eu.hasse_invariant(p, a))
+        _print(eu.hasse_invariant(p, a))
         return 0
     if args.command == "ap":
         p, a, c = _curve_args(args)
@@ -578,7 +601,7 @@ def _dispatch(args):
         hv = eu.hasse_value(p, a, c)
         out = {"p": p, "a": a, "c": c, "count": count, "a_p": ap,
                "hasse": hv, "congruent": (ap - hv) % p == 0}
-        print(json.dumps(out, sort_keys=True))
+        _print(json.dumps(out, sort_keys=True))
         return 0 if out["congruent"] else 1
     if args.command == "jet":
         if args.order < 0:
@@ -588,7 +611,7 @@ def _dispatch(args):
         f = parse_poly(args.f)
         pres = jets.prolong(f, args.order, args.flavor, p)
         for k, rel in enumerate(pres.relations):
-            print("delta^%d: %s" % (k, rel))
+            _print("delta^%d: %s" % (k, rel))
         return 0
     raise ConfigError("unknown command %r" % args.command)
 

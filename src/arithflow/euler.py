@@ -117,8 +117,7 @@ class EulerSystem:
 
     def hasse_at(self, c1, c2):
         """A_{p-1}(c1, c2) in F_p."""
-        v = self.A_z.eval({"z1": c1, "z2": c2})
-        return v.truncate(1) if isinstance(v, TruncatedPadic) else v
+        return self.A_z.eval({"z1": c1, "z2": c2}).truncate(1)
 
 
 class AdmissibleFiber:

@@ -41,10 +41,6 @@ class DiffForm:
                     self.comps[tuple(idx)] = e
 
     @classmethod
-    def zero(cls, chart, degree=0):
-        return cls(chart, degree, {})
-
-    @classmethod
     def sum(cls, chart, degree, terms):
         """The sum of e dx_idx over the (idx, e) pairs of terms, in order:
         a zero e is skipped, and a component that cancels is dropped."""
@@ -89,15 +85,12 @@ class DiffForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, scalar):
+    def __mul__(self, c):
+        """Each component times c, a scalar or a chart element."""
         return DiffForm(self.chart, self.degree,
-                        {idx: e * scalar for idx, e in self.comps.items()})
+                        {idx: e * c for idx, e in self.comps.items()})
 
     __rmul__ = __mul__
-
-    def scale_elem(self, e):
-        return DiffForm(self.chart, self.degree,
-                        {idx: c * e for idx, c in self.comps.items()})
 
     def wedge(self, other):
         if self.chart is not other.chart:
@@ -118,11 +111,6 @@ class DiffForm:
                 if sign:
                     terms.append((merged, elem_deriv(e, name) * sign))
         return DiffForm.sum(self.chart, self.degree + 1, terms)
-
-    def reduce_mod_p(self):
-        red = {idx: e.reduce_mod_p() for idx, e in self.comps.items()}
-        chart = self.chart.reduce_mod_p()
-        return DiffForm(chart, self.degree, red)
 
     def __eq__(self, other):
         if not isinstance(other, DiffForm):

@@ -19,7 +19,7 @@ def prime_name(name, k=1):
 
 def universal_derivation(f, variables):
     """The classical universal derivation: each variable maps to its prime."""
-    out = MultiPoly._raw({})
+    out = MultiPoly()
     for v in variables:
         df = f.deriv(v)
         if not df.is_zero():

@@ -11,7 +11,9 @@ appears only at the boundary: MultiPoly(terms) takes a dict from sorted
 tuples of (name, exponent) pairs to int, Fraction and TruncatedPadic values,
 and f.terms is a read-only view in that format.  Operands from different
 rings meet in their ring_join, the rule that TruncatedPadic arithmetic
-follows too.
+follows too, and so do the values of that dict: a polynomial has its ring
+from the start, so a dict that mixes two primes raises ValueError where it
+is made, and one that mixes Fractions with TruncatedPadics TypeError.
 
 A product reduces each result coefficient once.  Over Z/p^N it groups each
 operand's terms by the p-adic valuation of their coefficient and skips the
@@ -40,16 +42,6 @@ from .padic import TruncatedPadic, PrecisionError, ZZ, QQ, Zp, ring_join, _ZZ
 # ---------------------------------------------------------------------------
 # coefficients
 
-class _NoRing:
-    """The ring of a term dict whose values share none: any use raises."""
-
-    def __init__(self, error):
-        self.error = error
-
-    def __getattr__(self, name):
-        raise self.error
-
-
 _SCALARS = (int, Fraction, TruncatedPadic)
 
 
@@ -61,15 +53,6 @@ def _ring_of(c):
     if isinstance(c, Fraction):
         return QQ()
     raise TypeError("%r is not a coefficient" % (c,))
-
-
-def _residues(t):
-    """(ring, nonzero stored values) of a dict of coefficients, in their join."""
-    try:
-        ring = reduce(ring_join, map(_ring_of, t.values()), _ZZ)
-    except (TypeError, ValueError) as e:
-        return _NoRing(e), t
-    return ring, {k: r for k, c in t.items() if (r := ring.value(c))}
 
 
 # ---------------------------------------------------------------------------
@@ -158,13 +141,13 @@ class MultiPoly:
 
     def __init__(self, terms=None):
         """From tuple keys and int, Fraction or TruncatedPadic values, in the
-        join of their rings; values with no join raise where first used."""
+        join of their rings; values with no join raise here."""
         items = dict(terms).items() if terms else ()
         self._b = max((e for key, _ in items for _, e in key), default=0)
         self._w = _width(self._b)
-        self.ring, self._t = _residues({_pack(key, self._w): c for key, c in items})
-
-    _raw = classmethod(lambda cls, terms: cls(terms))
+        self.ring = reduce(ring_join, (_ring_of(c) for _, c in items), _ZZ)
+        self._t = {_pack(key, self._w): r for key, c in items
+                   if (r := self.ring.value(c))}
 
     @property
     def terms(self):
@@ -326,13 +309,6 @@ class MultiPoly:
             raise KeyError("no value for variable %r" % min(names - values.keys()))
         f = self.at({name: values[name] for name in names})
         return f.ring.decode(f._t.get(0, 0))
-
-    def map_coeffs(self, fn):
-        """fn of each int, Fraction or TruncatedPadic coefficient, in the join
-        of the results' rings."""
-        dec = self.ring.decode
-        ring, t = _residues({k: fn(dec(c)) for k, c in self._t.items()})
-        return _poly(t, ring, self._w, self._b)
 
     def exact_div_p(self, p, k=1):
         """Divide every coefficient by p^k exactly; over Z/p^N the result
@@ -850,7 +826,10 @@ def parse_poly(text, ring=None):
             return MultiPoly.var(t, ring.from_int(1))
         raise ParseError("unexpected token %r" % (t,))
 
-    node = parse_expr()
+    try:
+        node = parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if tokens:
         raise ParseError("trailing input at token %r" % (peek(),))
     return node

@@ -145,6 +145,23 @@ def test_file_errors_exit_two_before_any_check(tmp_path, monkeypatch, capsys):
         assert capsys.readouterr().out == ""
 
 
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as after `| head -1`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_a_closed_stdout_keeps_the_exit_code(monkeypatch, capsys):
+    for argv, code in ((["selftest", "--checks", "padic", "--p", "5"], 0),
+                       (["euler", "verify", "--p", "5", "--prec", "2",
+                         "--samples", "2", "--perturb"], 1),
+                       (["jet", "prolong", "--f", "x^2", "--order", "3"], 0)):
+        monkeypatch.setattr(cli.sys, "stdout", ClosedStdout())
+        assert cli.main(argv) == code
+        assert "error" not in capsys.readouterr().err
+
+
 def test_spectrum_check_splits_each_draw_once(monkeypatch, capsys):
     calls = []
     split = cli.lx.eigen_split

@@ -43,8 +43,8 @@ def test_d_leibniz():
     f = chart.elem(parse_poly("x1*x2 + x3^2"))
     alpha = DiffForm(chart, 1, {(0,): chart.var("x2"),
                                 (2,): chart.var("x1") * 3})
-    lhs = alpha.scale_elem(f).d()
-    rhs = DiffForm.function(f).d().wedge(alpha) + alpha.d().scale_elem(f)
+    lhs = (alpha * f).d()
+    rhs = DiffForm.function(f).d().wedge(alpha) + alpha.d() * f
     assert lhs == rhs
 
 
@@ -146,7 +146,7 @@ def test_phi_star_on_delta_constant_differential():
     df = DiffForm.function(f).d()
     pulled = phi_star_over_p(df, flow)
     # the coefficient is f^{p-1}
-    assert pulled == df.scale_elem(_pow_elem(f, 4))
+    assert pulled == df * _pow_elem(f, 4)
 
 
 def _pow_elem(e, n):

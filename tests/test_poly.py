@@ -63,6 +63,8 @@ def test_parser_errors():
         parse_poly("x1 ^ x2")
     with pytest.raises(ParseError):
         parse_poly("x1 $ x2")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 2000 + "x" + ")" * 2000)
 
 
 def test_parser_whitespace_and_parens():
@@ -305,7 +307,7 @@ def operand_pairs(draw):
 @given(operand_pairs())
 def test_packed_product_matches_double_loop(pair):
     t1, t2 = pair
-    got = MultiPoly._raw(dict(t1)) * MultiPoly._raw(dict(t2))
+    got = MultiPoly(dict(t1)) * MultiPoly(dict(t2))
     assert_same_terms(got.terms, reference_mul(t1, t2))
 
 
@@ -315,7 +317,7 @@ def test_packed_product_edge_cases():
     x = {(("x1", 1),): tp(5)}
     y = {(("x2", 80),): tp(25), (): tp(50)}
     # every coefficient product is divisible by p^3
-    assert (MultiPoly._raw(x) * MultiPoly._raw(y)).terms == {}
+    assert (MultiPoly(x) * MultiPoly(y)).terms == {}
     assert reference_mul(x, y) == {}
     # (x1 - x2)(x1 + x2): the cross terms cancel
     f = parse_poly("x1 - x2") * parse_poly("x1 + x2")
@@ -323,7 +325,7 @@ def test_packed_product_edge_cases():
     # empty and constant operands
     g = parse_poly("3*x1^79*x3 - 2")
     assert (MultiPoly.const(0) * g).terms == {}
-    assert (g * MultiPoly._raw({})).terms == {}
+    assert (g * MultiPoly({})).terms == {}
     assert_same_terms((MultiPoly.const(7) * g).terms,
                       reference_mul({(): 7}, g.terms))
     assert_same_terms((MultiPoly.const(7) * MultiPoly.const(6)).terms, {(): 42})
@@ -339,20 +341,20 @@ def test_packed_product_mixed_operands_rule():
     tp = TruncatedPadic
     f = {(): 2, (("x1", 1),): tp(5, 3, 7)}
     g = {(("x2", 1),): 3}
-    got = (MultiPoly._raw(f) * MultiPoly._raw(g)).terms
+    got = (MultiPoly(f) * MultiPoly(g)).terms
     assert_same_terms(got, {(("x2", 1),): tp(5, 3, 6),
                             (("x1", 1), ("x2", 1)): tp(5, 3, 21)})
     # the double loop would have kept the int 6
     assert type(reference_mul(f, g)[(("x2", 1),)]) is int
     f = {(("x1", 1),): tp(5, 3, 7)}
     g = {(): tp(5, 3, 2), (("x2", 1),): tp(5, 1, 1)}
-    got = (MultiPoly._raw(f) * MultiPoly._raw(g)).terms
+    got = (MultiPoly(f) * MultiPoly(g)).terms
     assert_same_terms(got, {(("x1", 1),): tp(5, 1, 4),
                             (("x1", 1), ("x2", 1)): tp(5, 1, 2)})
     with pytest.raises(ValueError):
-        MultiPoly._raw(f) * MultiPoly._raw({(): tp(7, 3, 1)})
+        MultiPoly(f) * MultiPoly({(): tp(7, 3, 1)})
     with pytest.raises(TypeError):
-        MultiPoly._raw(f) * MultiPoly._raw({(): Fraction(1, 2)})
+        MultiPoly(f) * MultiPoly({(): Fraction(1, 2)})
 
 
 def promoted(t, like):
@@ -373,7 +375,7 @@ def test_square_of_one_operand_matches_double_loop(pair):
     # both operands are the same dict, as in f * f; merging the pair gives
     # one operand of each kind, ints next to Z/p^N for the int*Zp kinds
     t = {**pair[0], **pair[1]}
-    f = MultiPoly._raw(t)
+    f = MultiPoly(t)
     want = promoted(t, t)
     assert_same_terms((f * f).terms, reference_mul(want, want))
 
@@ -388,7 +390,7 @@ def test_one_term_operand_matches_double_loop(pair, one_on_left):
     one = dict([next(iter(t1.items()))])
     other = {**t1, **t2}
     left, right = (one, other) if one_on_left else (other, one)
-    got = MultiPoly._raw(dict(left)) * MultiPoly._raw(dict(right))
+    got = MultiPoly(dict(left)) * MultiPoly(dict(right))
     assert_same_terms(got.terms, reference_mul(promoted(left, right),
                                                promoted(right, left)))
 
@@ -397,37 +399,34 @@ def test_one_term_and_square_edge_cases():
     tp = TruncatedPadic
     f = {(("x1", 2),): tp(5, 3, 7), (("x2", 1), ("x3", 4)): tp(5, 3, 10)}
     # the constant key leaves the other keys as they are
-    got = (MultiPoly._raw({(): 3}) * MultiPoly._raw(f)).terms
+    got = (MultiPoly({(): 3}) * MultiPoly(f)).terms
     assert_same_terms(got, {(("x1", 2),): tp(5, 3, 21),
                             (("x2", 1), ("x3", 4)): tp(5, 3, 30)})
     # a one-term product that vanishes mod 5^3, and one that partly does
-    assert (MultiPoly._raw({(("x2", 1),): tp(5, 3, 25)})
-            * MultiPoly._raw({(("x1", 1),): tp(5, 3, 5)})).terms == {}
-    got = (MultiPoly._raw(f) * MultiPoly._raw({(("x2", 2),): tp(5, 3, 25)})).terms
+    assert (MultiPoly({(("x2", 1),): tp(5, 3, 25)})
+            * MultiPoly({(("x1", 1),): tp(5, 3, 5)})).terms == {}
+    got = (MultiPoly(f) * MultiPoly({(("x2", 2),): tp(5, 3, 25)})).terms
     assert_same_terms(got, {(("x1", 2), ("x2", 2)): tp(5, 3, 50)})
     # an int monomial takes the least precision of the other operand, and
     # int products beside Z/p^N become Z/p^N
     g = {(): 2, (("x2", 1),): tp(5, 3, 7), (("x3", 1),): tp(5, 2, 1)}
-    got = (MultiPoly._raw({(("x2", 1),): 3}) * MultiPoly._raw(g)).terms
+    got = (MultiPoly({(("x2", 1),): 3}) * MultiPoly(g)).terms
     assert_same_terms(got, {(("x2", 1),): tp(5, 2, 6),
                             (("x2", 2),): tp(5, 2, 21),
                             (("x2", 1), ("x3", 1)): tp(5, 2, 3)})
     # the square of a mixed operand: off-diagonal pairs counted twice
-    h = MultiPoly._raw({(): 2, (("x1", 1),): tp(5, 3, 7)})
+    h = MultiPoly({(): 2, (("x1", 1),): tp(5, 3, 7)})
     assert_same_terms((h * h).terms, {(): tp(5, 3, 4),
                                       (("x1", 1),): tp(5, 3, 28),
                                       (("x1", 2),): tp(5, 3, 49)})
-    # a prime mismatch raises in the square and in the one-term path
-    mixed = MultiPoly._raw({(("x1", 1),): tp(5, 3, 1), (("x2", 1),): tp(7, 3, 1)})
+    # a prime mismatch raises where a mixed operand is made, and in a
+    # one-term product on either side
     with pytest.raises(ValueError):
-        mixed * mixed
-    for one in ({(): tp(7, 3, 1)}, {(("x3", 1),): 2}):
-        with pytest.raises(ValueError):
-            MultiPoly._raw(one) * mixed
-        with pytest.raises(ValueError):
-            mixed * MultiPoly._raw(one)
+        MultiPoly({(("x1", 1),): tp(5, 3, 1), (("x2", 1),): tp(7, 3, 1)})
     with pytest.raises(ValueError):
-        MultiPoly._raw({(): tp(7, 3, 1)}) * MultiPoly._raw(f)
+        MultiPoly({(): tp(7, 3, 1)}) * MultiPoly(f)
+    with pytest.raises(ValueError):
+        MultiPoly(f) * MultiPoly({(): tp(7, 3, 1)})
 
 
 class Recorded(int):
@@ -474,8 +473,8 @@ def assert_kernel_matches(t1, t2, square):
     padics = [c for c in (*t1.values(), *t2.values())
               if isinstance(c, TruncatedPadic)]
     Recorded.products = []
-    f1 = MultiPoly._raw(t1)
-    got = (f1 * f1 if square else f1 * MultiPoly._raw(t2)).terms
+    f1 = MultiPoly(t1)
+    got = (f1 * f1 if square else f1 * MultiPoly(t2)).terms
     if not padics:
         assert_same_terms(got, reference_mul(t1, t2))
         return
@@ -514,7 +513,7 @@ def test_products_skip_pairs_that_vanish_at_the_least_precision():
     assert_kernel_matches(f, f, square=True)
     g = {(("x1", 2),): tp(5, 2, Recorded(5)), (("x2", 2),): tp(5, 2, Recorded(2))}
     assert_kernel_matches(f, g, square=False)
-    h = MultiPoly._raw(f)
+    h = MultiPoly(f)
     assert_same_terms((h * h).terms, {(): tp(5, 2, 1),
                                       (("x1", 1),): tp(5, 2, 10),
                                       (("x3", 1),): tp(5, 2, 2),
@@ -698,6 +697,11 @@ def test_legacy_dict_takes_the_least_precision_ring():
     assert g.ring is QQ()
     assert_same_terms(g.terms, {(): Fraction(2), (("x1", 1),): Fraction(1, 2)})
     assert MultiPoly({(): tp(5, 1, 5)}).ring is Zp(5, 1)
+    # a dict whose values have no join raises where it is made
+    with pytest.raises(ValueError):
+        MultiPoly({(): tp(5, 3, 1), (("x1", 1),): tp(7, 3, 1)})
+    with pytest.raises(TypeError):
+        MultiPoly({(): Fraction(1, 2), (("x1", 1),): tp(5, 3, 1)})
 
 
 def test_ring_join_and_the_precision_of_a_zero():
